@@ -4,16 +4,16 @@
 //! trip as the pure-transport floor. The deltas between the columns are the
 //! wire-protocol cost (parse + JSON encode) and the TCP setup cost.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saber_core::model::LdaModel;
+use saber_serve::client::HttpClient;
 use saber_serve::http::{HttpConfig, HttpServer};
-use saber_serve::{ServeConfig, TopicServer};
+use saber_serve::{wire, HttpTransportConfig, ServeConfig, TopicServer};
 use std::hint::black_box;
 
 const VOCAB: usize = 2_000;
@@ -40,46 +40,16 @@ fn doc() -> Vec<u32> {
         .collect()
 }
 
-fn infer_payload(words: &[u32], seed: u64) -> String {
-    format!(
-        "{{\"words\":[{}],\"seed\":{seed}}}",
-        words
-            .iter()
-            .map(u32::to_string)
-            .collect::<Vec<_>>()
-            .join(",")
-    )
+fn client(addr: SocketAddr) -> HttpClient {
+    HttpClient::new(addr, &HttpTransportConfig::default())
 }
 
-/// Reads one keep-alive response off `reader` (headers + content-length
-/// body), returning the body length as a liveness check.
-fn read_keep_alive_response(reader: &mut BufReader<TcpStream>) -> usize {
-    let mut status = String::new();
-    reader.read_line(&mut status).expect("status line");
-    assert!(status.contains("200"), "unexpected response: {status}");
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap();
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    content_length
-}
-
-fn one_shot_request(addr: SocketAddr, raw: &str) -> usize {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.write_all(raw.as_bytes()).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    response.len()
+/// One request over `client`, returning the body length as a liveness
+/// check.
+fn send(client: &mut HttpClient, method: &str, path: &str, body: &[u8]) -> usize {
+    let (status, body) = client.send(method, path, &[], body).unwrap();
+    assert_eq!(status, 200, "unexpected response status");
+    body.len()
 }
 
 fn bench_http_overhead(c: &mut Criterion) {
@@ -109,19 +79,12 @@ fn bench_http_overhead(c: &mut Criterion) {
 
     // The same request over one persistent HTTP connection.
     group.bench_function("http_keep_alive_infer_32_tokens", |b| {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut client = client(addr);
         let mut seed = 0u64;
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            let payload = infer_payload(&words, seed);
-            let raw = format!(
-                "POST /infer HTTP/1.1\r\nHost: b\r\nContent-Length: {}\r\n\r\n{payload}",
-                payload.len()
-            );
-            stream.write_all(raw.as_bytes()).unwrap();
-            black_box(read_keep_alive_response(&mut reader))
+            let payload = wire::encode_infer_request(&words, seed).to_string();
+            black_box(send(&mut client, "POST", "/infer", payload.as_bytes()))
         });
     });
 
@@ -130,26 +93,20 @@ fn bench_http_overhead(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            let payload = infer_payload(&words, seed);
-            let raw = format!(
-                "POST /infer HTTP/1.1\r\nHost: b\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-                payload.len()
-            );
-            black_box(one_shot_request(addr, &raw))
+            let payload = wire::encode_infer_request(&words, seed).to_string();
+            black_box(send(
+                &mut client(addr),
+                "POST",
+                "/infer",
+                payload.as_bytes(),
+            ))
         });
     });
 
     // Transport floor: no inference at all.
     group.bench_function("http_keep_alive_healthz", |b| {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        b.iter(|| {
-            stream
-                .write_all(b"GET /healthz HTTP/1.1\r\nHost: b\r\n\r\n")
-                .unwrap();
-            black_box(read_keep_alive_response(&mut reader))
-        });
+        let mut client = client(addr);
+        b.iter(|| black_box(send(&mut client, "GET", "/healthz", &[])));
     });
 
     group.finish();

@@ -566,16 +566,20 @@ fn trace_scope(path: &str) -> bool {
 
 /// Function names that mint or forward jobs and must therefore accept a
 /// `TraceContext` parameter in `server.rs`.
-const SERVER_TRACE_SEAMS: [&str; 3] = ["make_job", "submit_partial", "try_submit_partial"];
+const SERVER_TRACE_SEAMS: [&str; 1] = ["enqueue"];
 
 /// Checks that the job structure and every submission/transport seam carry
 /// a `TraceContext` — without it, a new job kind or transport method would
-/// silently drop the request's trace at that hop.
+/// silently drop the request's trace at that hop. A listed server seam
+/// missing from the file that defines `Job` is itself a diagnostic, so a
+/// rename cannot silently switch the rule off.
 fn trace_propagation(file: &LexedFile, out: &mut Vec<Diagnostic>) {
     if !trace_scope(&file.rel_path) {
         return;
     }
     let is_server = file.rel_path.ends_with("server.rs");
+    let mut job_line = None;
+    let mut seams_seen = Vec::new();
     for i in 0..file.tokens.len() {
         if file.in_test[i] {
             continue;
@@ -583,6 +587,7 @@ fn trace_propagation(file: &LexedFile, out: &mut Vec<Diagnostic>) {
         // The worker-queue `Job` itself must hold the trace context, or no
         // submission path can deliver it to the worker.
         if is_server && file.is_ident(i, "struct") && file.is_ident(i + 1, "Job") {
+            job_line = Some(file.tokens[i].line);
             let mut open = i + 2;
             while open < file.tokens.len() && file.text(open) != "{" {
                 open += 1;
@@ -613,6 +618,7 @@ fn trace_propagation(file: &LexedFile, out: &mut Vec<Diagnostic>) {
         if !watched {
             continue;
         }
+        seams_seen.push(name);
         // The signature runs to the body `{` (or a trait method's `;`).
         let mut carries = false;
         let mut j = i + 2;
@@ -637,6 +643,22 @@ fn trace_propagation(file: &LexedFile, out: &mut Vec<Diagnostic>) {
                      `TraceContext::disabled()` for untraced callers)"
                 ),
             });
+        }
+    }
+    if let Some(line) = job_line {
+        for seam in SERVER_TRACE_SEAMS {
+            if !seams_seen.contains(&seam) {
+                out.push(Diagnostic {
+                    file: file.rel_path.clone(),
+                    line,
+                    rule: TRACE_PROPAGATION,
+                    message: format!(
+                        "submission seam `{seam}` no longer exists beside `struct Job` — \
+                         point `SERVER_TRACE_SEAMS` at the function that now admits jobs, \
+                         or the trace-propagation rule checks nothing"
+                    ),
+                });
+            }
         }
     }
 }
@@ -1183,9 +1205,7 @@ mod tests {
     #[test]
     fn flags_a_job_struct_without_a_trace_member() {
         let bare = "struct Job {\n    words: Vec<u32>,\n}\n\
-                    fn make_job(trace: TraceContext) {}\n\
-                    fn submit_partial(trace: TraceContext) {}\n\
-                    fn try_submit_partial(trace: TraceContext) {}\n";
+                    fn enqueue(trace: TraceContext) {}\n";
         let diags = lint_one("crates/serve/src/server.rs", bare);
         assert_eq!(rule_ids(&diags), [TRACE_PROPAGATION]);
         assert!(
@@ -1194,10 +1214,38 @@ mod tests {
             diags[0].message
         );
         let traced = "struct Job {\n    words: Vec<u32>,\n    trace: TraceContext,\n}\n\
-                      fn make_job(trace: TraceContext) {}\n\
-                      fn submit_partial(trace: TraceContext) {}\n\
-                      fn try_submit_partial(trace: TraceContext) {}\n";
+                      fn enqueue(trace: TraceContext) {}\n";
         assert!(lint_one("crates/serve/src/server.rs", traced).is_empty());
+    }
+
+    #[test]
+    fn flags_the_server_admission_seam_without_a_trace_context() {
+        let src = "struct Job {\n    trace: TraceContext,\n}\n\
+                   fn enqueue(&self, words: Vec<u32>) -> Result<P, E> {\n    todo()\n}\n";
+        let diags = lint_one("crates/serve/src/server.rs", src);
+        assert_eq!(rule_ids(&diags), [TRACE_PROPAGATION]);
+        assert!(
+            diags[0].message.contains("`enqueue`"),
+            "{}",
+            diags[0].message
+        );
+        assert_eq!(diags[0].line, 4);
+    }
+
+    #[test]
+    fn flags_a_renamed_server_seam() {
+        // `Job` is still here but the listed seam is gone: the rule would
+        // otherwise check nothing.
+        let renamed = "struct Job {\n    trace: TraceContext,\n}\n\
+                       fn admit(&self, trace: TraceContext) {}\n";
+        let diags = lint_one("crates/serve/src/server.rs", renamed);
+        assert_eq!(rule_ids(&diags), [TRACE_PROPAGATION]);
+        assert!(
+            diags[0].message.contains("`enqueue` no longer exists"),
+            "{}",
+            diags[0].message
+        );
+        assert_eq!(diags[0].line, 1);
     }
 
     #[test]

@@ -7,15 +7,13 @@
 //! instead of the harness politely slowing down and hiding the problem.
 //!
 //! Determinism: each request carries its trace seed into
-//! [`InferenceBackend::infer_with_deadline`], and
+//! [`InferenceBackend::infer`], and
 //! [`derive_shard_seed`](saber_serve::derive_shard_seed) keeps shard 0's
 //! seed equal to the raw seed — so the same trace replayed twice against
 //! any topology, or against a direct server vs a one-shard router, yields
 //! bit-identical θ. The differential suite in `tests/loadgen_replay.rs`
 //! pins this.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -23,10 +21,11 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saber_core::LdaModel;
+use saber_serve::client::HttpClient;
 use saber_serve::{
-    HistogramSnapshot, HttpConfig, HttpServer, HttpTransport, InferenceBackend, InferenceSnapshot,
-    LatencyHistogram, ReplicaConfig, RequestRecorder, ServeConfig, ServeError, ServeStats,
-    ShardPlan, ShardRouter, TopicServer,
+    wire, HistogramSnapshot, HttpConfig, HttpServer, HttpTransport, HttpTransportConfig,
+    InferenceBackend, InferenceSnapshot, LatencyHistogram, ReplicaConfig, RequestRecorder,
+    ServeConfig, ServeError, ServeStats, ShardPlan, ShardRouter, TopicServer,
 };
 
 use crate::trace::RequestTrace;
@@ -545,8 +544,7 @@ pub fn replay_with_chaos(
                         std::thread::sleep(wait);
                     }
                     let dispatched = Instant::now();
-                    let result =
-                        backend.infer_with_deadline(request.words.clone(), request.seed, deadline);
+                    let result = backend.infer(request.words.clone(), request.seed, deadline, None);
                     latency.record(dispatched.elapsed());
                     match result {
                         Ok(response) => {
@@ -627,12 +625,15 @@ pub fn record_over_http(
         shard: None,
         addr: Some("127.0.0.1:0".to_string()),
     })?;
-    let addr = http.local_addr();
+    // One keep-alive connection, closed (by dropping the client) before
+    // the listener shuts down.
+    let mut client = HttpClient::new(http.local_addr(), &HttpTransportConfig::default());
     let result = trace
         .requests()
         .iter()
         .take(limit)
-        .try_for_each(|request| post_infer(addr, &request.words, request.seed));
+        .try_for_each(|request| post_infer(&mut client, &request.words, request.seed));
+    drop(client);
     http.shutdown();
     result?;
     RequestTrace::from_recorded(trace.vocab_size(), recorder.drain()).map_err(|e| {
@@ -642,46 +643,15 @@ pub fn record_over_http(
     })
 }
 
-/// One blocking `POST /infer` over a fresh connection; succeeds on any
-/// HTTP 200 reply.
-fn post_infer(addr: SocketAddr, words: &[u32], seed: u64) -> Result<(), ServeError> {
-    let transport_err = |detail: String| ServeError::Transport {
-        detail,
-        shard: None,
-        addr: Some(addr.to_string()),
-    };
-    let mut body = String::from("{\"words\":[");
-    for (i, word) in words.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&word.to_string());
-    }
-    body.push_str("],\"seed\":");
-    body.push_str(&seed.to_string());
-    body.push('}');
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| transport_err(format!("connect: {e}")))?;
-    let request = format!(
-        "POST /infer HTTP/1.1\r\nHost: loadgen\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| transport_err(format!("send: {e}")))?;
-    let mut reply = Vec::new();
-    stream
-        .read_to_end(&mut reply)
-        .map_err(|e| transport_err(format!("recv: {e}")))?;
-    let head = String::from_utf8_lossy(&reply[..reply.len().min(64)]).into_owned();
-    if head.starts_with("HTTP/1.1 200") || head.starts_with("HTTP/1.0 200") {
-        Ok(())
-    } else {
-        Err(transport_err(format!(
-            "non-200 reply to /infer: {}",
-            head.lines().next().unwrap_or("<empty>")
-        )))
+/// One blocking `POST /infer`; succeeds on any HTTP 200 reply.
+fn post_infer(client: &mut HttpClient, words: &[u32], seed: u64) -> Result<(), ServeError> {
+    let body = wire::encode_infer_request(words, seed).to_string();
+    let headers = [("Content-Type", "application/json")];
+    match client.send("POST", "/infer", &headers, body.as_bytes())? {
+        (200, _) => Ok(()),
+        (status, _) => Err(ServeError::transport(format!(
+            "non-200 reply to /infer: {status}"
+        ))),
     }
 }
 

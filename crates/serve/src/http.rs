@@ -58,11 +58,11 @@
 //! # Example
 //!
 //! ```
-//! use std::io::{Read, Write};
 //! use std::sync::Arc;
 //! use saber_core::LdaModel;
+//! use saber_serve::client::HttpClient;
 //! use saber_serve::http::{HttpConfig, HttpServer};
-//! use saber_serve::{ServeConfig, TopicServer};
+//! use saber_serve::{HttpTransportConfig, ServeConfig, TopicServer};
 //!
 //! let mut model = LdaModel::new(10, 2, 0.1, 0.01).unwrap();
 //! for v in 0..10 {
@@ -73,11 +73,10 @@
 //!
 //! // Port 0 = OS-assigned; `local_addr` reports what was bound.
 //! let http = HttpServer::bind("127.0.0.1:0", server, None, HttpConfig::default()).unwrap();
-//! let mut conn = std::net::TcpStream::connect(http.local_addr()).unwrap();
-//! conn.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
-//! let mut reply = String::new();
-//! conn.read_to_string(&mut reply).unwrap();
-//! assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+//! let mut client = HttpClient::new(http.local_addr(), &HttpTransportConfig::default());
+//! let (status, _body) = client.send("GET", "/healthz", &[], &[]).unwrap();
+//! assert_eq!(status, 200);
+//! drop(client); // close the keep-alive connection before shutting down
 //! http.shutdown();
 //! ```
 
@@ -91,9 +90,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use saber_core::json::JsonValue;
+use saber_core::model_io::snapshot_encoded_bytes;
 use saber_corpus::Vocabulary;
 use saber_trace::{SlowCapture, Trace, TraceBuilder, TraceContext, TraceId, TraceRing};
 
+use crate::server::infer_encoded;
 use crate::similarity::{cosine_similarity, hellinger_distance};
 use crate::snapshot::InferenceSnapshot;
 use crate::stats::{HistogramSnapshot, LatencyHistogram};
@@ -556,7 +557,7 @@ fn serve_connection(stream: TcpStream, state: &Arc<HttpState>) {
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let request = match read_request(&mut reader, &stream, &state.config) {
+        let request = match read_request(&mut reader, &stream, state) {
             ReadOutcome::Request(r) => r,
             ReadOutcome::Closed => return,
             ReadOutcome::Reject(status, detail) => {
@@ -835,7 +836,7 @@ fn handle_infer_partial(request: &Request, state: &HttpState) -> (u16, String) {
         .unwrap_or_else(TraceContext::disabled);
     match state
         .backend
-        .infer_partial_traced(words, partial, state.config.request_deadline, ctx)
+        .infer_partial(words, partial, state.config.request_deadline, ctx)
     {
         Ok(response) => {
             if let (Some(id), Some(root)) = (ctx.trace_id(), response.spans.first()) {
@@ -1063,7 +1064,7 @@ fn handle_similar(request: &Request, state: &HttpState) -> (u16, String) {
     // Both documents share the seed so `a == b` implies distance 0; halve
     // the deadline since one HTTP request costs two inferences.
     let deadline = state.config.request_deadline / 2;
-    let infer = |words: Vec<u32>| state.backend.infer_with_deadline(words, seed, deadline);
+    let infer = |words: Vec<u32>| state.backend.infer(words, seed, deadline, None);
     let (a, b) = match (infer(doc_a), infer(doc_b)) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => return serve_error(&e),
@@ -1137,7 +1138,13 @@ fn handle_infer_traced(
         Ok(parsed) => parsed,
         Err(response) => return response,
     };
+    // Word-id and raw-token bodies alike take the one traced call.
     let deadline = state.config.request_deadline;
+    let mut infer = |words| {
+        state
+            .backend
+            .infer(words, seed, deadline, Some((&mut *trace, root)))
+    };
     let result = match body {
         InferBody::Words(words) => {
             // The opt-in loadgen capture sees the request exactly as the
@@ -1146,15 +1153,11 @@ fn handle_infer_traced(
             if let Some(recorder) = state.config.recorder.as_ref() {
                 recorder.record(&words, seed);
             }
-            state
-                .backend
-                .infer_with_trace(words, seed, deadline, trace, root)
+            infer(words)
         }
         InferBody::Tokens { tokens, policy } => match state.vocab.as_ref() {
             None => return error(400, "server has no vocabulary; send 'words' ids instead"),
-            Some(vocab) => state
-                .backend
-                .infer_raw_with_deadline(&tokens, vocab, policy, seed, deadline),
+            Some(vocab) => infer_encoded(&tokens, vocab, policy, infer),
         },
     };
     match result {
@@ -1196,12 +1199,28 @@ fn serve_error(e: &ServeError) -> (u16, String) {
 const MAX_HEADER_LINE: usize = 8 * 1024;
 const MAX_HEADERS: usize = 64;
 
+/// The largest body accepted for `method path`. Both publication endpoints
+/// reject any shape other than the served slice, so their cap is at least
+/// that slice's encoded size: a shard on the default configuration accepts
+/// its own model. Everything else is capped by
+/// [`HttpConfig::max_body_bytes`].
+fn body_limit(state: &HttpState, method: &str, path: &str) -> usize {
+    let limit = state.config.max_body_bytes;
+    if method != "POST" || !matches!(path, "/publish-shard" | "/publish-delta") {
+        return limit;
+    }
+    let backend = &state.backend;
+    snapshot_encoded_bytes(backend.vocab_size() as u64, backend.n_topics() as u64)
+        .and_then(|bytes| usize::try_from(bytes).ok())
+        .map_or(limit, |bytes| bytes.max(limit))
+}
+
 fn read_request(
     reader: &mut BufReader<TcpStream>,
     stream: &TcpStream,
-    config: &HttpConfig,
+    state: &HttpState,
 ) -> ReadOutcome {
-    let max_body = config.max_body_bytes;
+    let config = &state.config;
     // The whole-request read budget starts at the request's first byte
     // (`None` until then, so an idle keep-alive connection is governed
     // only by the per-read socket timeout).
@@ -1232,6 +1251,8 @@ fn read_request(
         "HTTP/1.0" => false,
         _ => return ReadOutcome::Reject(505, format!("unsupported version {version}")),
     };
+    let (path, query) = parse_target(&target);
+    let max_body = body_limit(state, &method, &path);
 
     let mut headers = Vec::new();
     loop {
@@ -1323,7 +1344,6 @@ fn read_request(
         _ => http11,
     };
 
-    let (path, query) = parse_target(&target);
     ReadOutcome::Request(Request {
         method,
         path,

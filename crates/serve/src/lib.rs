@@ -87,6 +87,7 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
+pub mod client;
 pub mod http;
 pub mod router;
 pub mod server;
@@ -123,35 +124,55 @@ pub use transport::{
 /// formats, same determinism guarantees. The only observable difference is
 /// the `shards` member of `/healthz` and `/stats`.
 pub trait InferenceBackend: Send + Sync + std::fmt::Debug {
-    /// Fail-fast, deadline-bounded inference over word ids (the `POST
-    /// /infer` path).
+    /// Fail-fast, deadline-bounded inference over word ids — the `POST
+    /// /infer` path. Admission fails fast with [`ServeError::Overloaded`]
+    /// on a full queue, and the answer is abandoned with
+    /// [`ServeError::DeadlineExceeded`] past `deadline`.
+    ///
+    /// With `trace` set to `(builder, parent)`, child spans are recorded
+    /// under `parent`: [`TopicServer`] records `queue-wait`/`handler`
+    /// spans and [`ShardRouter`] a full fan-out subtree (see
+    /// [`ShardRouter::infer_with_trace`]). Tracing never perturbs the
+    /// answer.
     ///
     /// # Errors
     ///
-    /// Backend-dependent; see [`TopicServer::infer_with_deadline`] and
-    /// [`ShardRouter::infer_with_deadline`].
-    fn infer_with_deadline(
+    /// [`ServeError::BadRequest`] for out-of-range word ids, the admission
+    /// and deadline errors above, [`ServeError::Closed`] after shutdown,
+    /// and for a router also transport and version-skew errors (see
+    /// [`ShardRouter::infer_topics`]).
+    fn infer(
         &self,
         words: Vec<u32>,
         seed: u64,
         deadline: std::time::Duration,
+        trace: Option<(&mut saber_trace::TraceBuilder, u64)>,
     ) -> Result<InferResponse, ServeError>;
 
-    /// Raw-token inference against `vocab` with the same deadline
-    /// semantics.
+    /// Computes the partial sufficient statistics of one shard-side
+    /// request — the `POST /infer-partial` path — with the deadline
+    /// semantics of [`InferenceBackend::infer`]. `trace` is the
+    /// distributed context parsed from the `X-Saber-Trace` request header;
+    /// when enabled the response carries the shard's own span subtree (see
+    /// [`PartialResponse::spans`]). Only meaningful on a backend that *is*
+    /// a shard (a [`TopicServer`]); the default refuses.
     ///
     /// # Errors
     ///
-    /// Encoding failures plus everything
-    /// [`InferenceBackend::infer_with_deadline`] can return.
-    fn infer_raw_with_deadline(
+    /// [`ServeError::BadRequest`] when the backend does not serve shard
+    /// partials; otherwise as [`TopicServer::infer_partial_with_deadline`].
+    fn infer_partial(
         &self,
-        tokens: &[String],
-        vocab: &saber_corpus::Vocabulary,
-        policy: saber_corpus::OovPolicy,
-        seed: u64,
+        words: Vec<u32>,
+        request: PartialRequest,
         deadline: std::time::Duration,
-    ) -> Result<InferResponse, ServeError>;
+        trace: saber_trace::TraceContext,
+    ) -> Result<PartialResponse, ServeError> {
+        let _ = (words, request, deadline, trace);
+        Err(ServeError::BadRequest {
+            detail: "this backend does not serve shard partials".into(),
+        })
+    }
 
     /// The `n` highest-probability words of topic `k` (global word ids).
     ///
@@ -205,68 +226,6 @@ pub trait InferenceBackend: Send + Sync + std::fmt::Debug {
         None
     }
 
-    /// [`InferenceBackend::infer_with_deadline`] that records child spans
-    /// under `parent` in `trace` — the path the HTTP front-end's traced
-    /// `POST /infer` handler drives. The default ignores the trace and
-    /// answers identically to the untraced path; [`TopicServer`] records
-    /// `queue-wait`/`handler` spans and [`ShardRouter`] a full fan-out
-    /// subtree. Implementations must never let tracing perturb the answer.
-    ///
-    /// # Errors
-    ///
-    /// As [`InferenceBackend::infer_with_deadline`].
-    fn infer_with_trace(
-        &self,
-        words: Vec<u32>,
-        seed: u64,
-        deadline: std::time::Duration,
-        trace: &mut saber_trace::TraceBuilder,
-        parent: u64,
-    ) -> Result<InferResponse, ServeError> {
-        let _ = (&trace, parent);
-        self.infer_with_deadline(words, seed, deadline)
-    }
-
-    /// [`InferenceBackend::infer_partial_with_deadline`] carrying the
-    /// distributed [`TraceContext`](saber_trace::TraceContext) parsed from
-    /// the `X-Saber-Trace` request header, so a shard process can answer
-    /// with its own span subtree inline in the response (see
-    /// [`PartialResponse::spans`]). The default delegates untraced.
-    ///
-    /// # Errors
-    ///
-    /// As [`InferenceBackend::infer_partial_with_deadline`].
-    fn infer_partial_traced(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-        deadline: std::time::Duration,
-        trace: saber_trace::TraceContext,
-    ) -> Result<PartialResponse, ServeError> {
-        let _ = trace;
-        self.infer_partial_with_deadline(words, request, deadline)
-    }
-
-    /// Computes the partial sufficient statistics of one shard-side
-    /// request — the `POST /infer-partial` path. Only meaningful on a
-    /// backend that *is* a shard (a [`TopicServer`]); the default refuses.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] when the backend does not serve shard
-    /// partials; otherwise as [`TopicServer::infer_partial_with_deadline`].
-    fn infer_partial_with_deadline(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-        deadline: std::time::Duration,
-    ) -> Result<PartialResponse, ServeError> {
-        let _ = (words, request, deadline);
-        Err(ServeError::BadRequest {
-            detail: "this backend does not serve shard partials".into(),
-        })
-    }
-
     /// Publishes a snapshot pinned to a fleet-chosen epoch — the
     /// `POST /commit-epoch` path of a shard process. Only meaningful on a
     /// [`TopicServer`]; the default refuses.
@@ -297,24 +256,26 @@ pub trait InferenceBackend: Send + Sync + std::fmt::Debug {
 }
 
 impl InferenceBackend for TopicServer {
-    fn infer_with_deadline(
+    fn infer(
         &self,
         words: Vec<u32>,
         seed: u64,
         deadline: std::time::Duration,
+        trace: Option<(&mut saber_trace::TraceBuilder, u64)>,
     ) -> Result<InferResponse, ServeError> {
-        TopicServer::infer_with_deadline(self, words, seed, deadline)
+        self.infer_job(words, seed, Some(deadline), trace)
     }
 
-    fn infer_raw_with_deadline(
+    fn infer_partial(
         &self,
-        tokens: &[String],
-        vocab: &saber_corpus::Vocabulary,
-        policy: saber_corpus::OovPolicy,
-        seed: u64,
+        words: Vec<u32>,
+        request: PartialRequest,
         deadline: std::time::Duration,
-    ) -> Result<InferResponse, ServeError> {
-        TopicServer::infer_raw_with_deadline(self, tokens, vocab, policy, seed, deadline)
+        trace: saber_trace::TraceContext,
+    ) -> Result<PartialResponse, ServeError> {
+        let deadline = Some(std::time::Instant::now() + deadline);
+        self.enqueue(words, |reply| request.into_kind(reply), deadline, trace)?
+            .wait(deadline)
     }
 
     fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
@@ -357,36 +318,6 @@ impl InferenceBackend for TopicServer {
         self.config().fold_in
     }
 
-    fn infer_partial_with_deadline(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-        deadline: std::time::Duration,
-    ) -> Result<PartialResponse, ServeError> {
-        TopicServer::infer_partial_with_deadline(self, words, request, deadline)
-    }
-
-    fn infer_with_trace(
-        &self,
-        words: Vec<u32>,
-        seed: u64,
-        deadline: std::time::Duration,
-        trace: &mut saber_trace::TraceBuilder,
-        parent: u64,
-    ) -> Result<InferResponse, ServeError> {
-        TopicServer::infer_traced(self, words, seed, deadline, trace, parent)
-    }
-
-    fn infer_partial_traced(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-        deadline: std::time::Duration,
-        trace: saber_trace::TraceContext,
-    ) -> Result<PartialResponse, ServeError> {
-        TopicServer::infer_partial_traced(self, words, request, deadline, trace)
-    }
-
     fn publish_snapshot_at(
         &self,
         snapshot: InferenceSnapshot,
@@ -401,24 +332,19 @@ impl InferenceBackend for TopicServer {
 }
 
 impl<T: ShardTransport> InferenceBackend for ShardRouter<T> {
-    fn infer_with_deadline(
+    fn infer(
         &self,
         words: Vec<u32>,
         seed: u64,
         deadline: std::time::Duration,
+        trace: Option<(&mut saber_trace::TraceBuilder, u64)>,
     ) -> Result<InferResponse, ServeError> {
-        ShardRouter::infer_with_deadline(self, words, seed, deadline)
-    }
-
-    fn infer_raw_with_deadline(
-        &self,
-        tokens: &[String],
-        vocab: &saber_corpus::Vocabulary,
-        policy: saber_corpus::OovPolicy,
-        seed: u64,
-        deadline: std::time::Duration,
-    ) -> Result<InferResponse, ServeError> {
-        ShardRouter::infer_raw_with_deadline(self, tokens, vocab, policy, seed, deadline)
+        self.route(
+            &words,
+            seed,
+            Some(std::time::Instant::now() + deadline),
+            trace,
+        )
     }
 
     fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
@@ -462,17 +388,6 @@ impl<T: ShardTransport> InferenceBackend for ShardRouter<T> {
     fn fleet_health(&self) -> Option<FleetHealth> {
         Some(ShardRouter::fleet_health(self))
     }
-
-    fn infer_with_trace(
-        &self,
-        words: Vec<u32>,
-        seed: u64,
-        deadline: std::time::Duration,
-        trace: &mut saber_trace::TraceBuilder,
-        parent: u64,
-    ) -> Result<InferResponse, ServeError> {
-        ShardRouter::infer_with_trace(self, words, seed, deadline, trace, parent)
-    }
 }
 
 /// Errors produced by the serving subsystem.
@@ -488,7 +403,7 @@ pub enum ServeError {
     /// The bounded request queue is full (fail-fast admission control).
     Overloaded,
     /// The request was admitted but no answer arrived within the caller's
-    /// deadline (see [`TopicServer::infer_with_deadline`]).
+    /// deadline (see [`InferenceBackend::infer`]).
     DeadlineExceeded,
     /// A request carried a word id outside the served vocabulary.
     BadRequest {

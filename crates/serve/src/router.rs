@@ -63,7 +63,7 @@ use saber_core::model::LdaModel;
 use saber_corpus::{OovPolicy, Vocabulary};
 use saber_trace::{TraceBuilder, TraceContext};
 
-use crate::server::{PartialRequest, PartialResponse};
+use crate::server::{infer_encoded, PartialRequest, PartialResponse};
 use crate::shard::{derive_replica_choice, derive_shard_seed, ShardPlan};
 use crate::snapshot::{FoldInKind, InferenceSnapshot};
 use crate::transport::{
@@ -798,8 +798,9 @@ impl<T: ShardTransport> ShardRouter<T> {
         self.route(&words, seed, None, None)
     }
 
-    /// Fail-fast, deadline-bounded inference; the sharded counterpart of
-    /// [`TopicServer::infer_with_deadline`] (the HTTP front-end's path).
+    /// Fail-fast, deadline-bounded inference; the router's
+    /// [`InferenceBackend::infer`](crate::InferenceBackend::infer) without
+    /// a trace (the HTTP front-end's path).
     /// The deadline covers the whole fan-out — all shards and, under
     /// [`FoldInKind::Em`], all synchronisation rounds.
     ///
@@ -861,31 +862,9 @@ impl<T: ShardTransport> ShardRouter<T> {
         policy: OovPolicy,
         seed: u64,
     ) -> Result<InferResponse, ServeError> {
-        let encoded = vocab.encode(tokens.iter().map(AsRef::as_ref), policy)?;
-        let mut response = self.infer_topics(encoded.ids, seed)?;
-        response.n_oov += encoded.n_oov;
-        Ok(response)
-    }
-
-    /// [`ShardRouter::infer_raw`] with the deadline semantics of
-    /// [`ShardRouter::infer_with_deadline`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding failures plus everything
-    /// [`ShardRouter::infer_with_deadline`] can return.
-    pub fn infer_raw_with_deadline<S: AsRef<str>>(
-        &self,
-        tokens: &[S],
-        vocab: &Vocabulary,
-        policy: OovPolicy,
-        seed: u64,
-        deadline: Duration,
-    ) -> Result<InferResponse, ServeError> {
-        let encoded = vocab.encode(tokens.iter().map(AsRef::as_ref), policy)?;
-        let mut response = self.infer_with_deadline(encoded.ids, seed, deadline)?;
-        response.n_oov += encoded.n_oov;
-        Ok(response)
+        infer_encoded(tokens, vocab, policy, |words| {
+            self.infer_topics(words, seed)
+        })
     }
 
     /// The `n` highest-probability words of topic `k` across the whole
@@ -1100,8 +1079,9 @@ impl<T: ShardTransport> ShardRouter<T> {
     }
 
     /// Routes one document: split by shard, fan out, merge; retried when a
-    /// concurrent publication leaves the responses on mixed versions.
-    fn route(
+    /// concurrent publication leaves the responses on mixed versions. The
+    /// single path behind every public inference method.
+    pub(crate) fn route(
         &self,
         words: &[u32],
         seed: u64,

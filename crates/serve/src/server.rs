@@ -2,12 +2,12 @@
 //!
 //! [`TopicServer`] is the crate's execution engine: a bounded request queue
 //! drained by `n_workers` threads that coalesce waiting requests into
-//! micro-batches (one snapshot load per batch), with three admission paths
-//! — blocking ([`TopicServer::infer_topics`]), fail-fast
-//! ([`TopicServer::try_infer_topics`]) and deadline-bounded
-//! ([`TopicServer::infer_with_deadline`], the one the HTTP front-end maps
-//! to `429`/`503`). Workers time every request (queue wait + fold-in) into
-//! the lock-free histogram surfaced by [`ServeStats`].
+//! micro-batches (one snapshot load per batch). Every request enters through
+//! one admission path: blocking ([`TopicServer::infer_topics`]) or, when the
+//! caller gives a deadline, fail-fast and deadline-bounded
+//! ([`InferenceBackend::infer`], the one the HTTP front-end maps to
+//! `429`/`503`). Workers time every request (queue wait + fold-in) into the
+//! lock-free histogram surfaced by [`ServeStats`].
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -23,7 +23,7 @@ use saber_trace::{SpanRecord, TraceBuilder, TraceContext};
 use crate::snapshot::{FoldInParams, InferenceSnapshot, SnapshotSampler};
 use crate::stats::{HistogramSnapshot, LatencyHistogram};
 use crate::swap::SnapshotCell;
-use crate::ServeError;
+use crate::{InferenceBackend, ServeError};
 
 /// Configuration of a [`TopicServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +35,7 @@ pub struct ServeConfig {
     /// queue synchronisation across its requests.
     pub max_batch: usize,
     /// Capacity of the bounded request queue; submissions block (or fail,
-    /// for [`TopicServer::try_infer_topics`]) when it is full.
+    /// when the caller gave a deadline) when it is full.
     pub queue_depth: usize,
     /// Fold-in quality knobs applied to every request.
     pub fold_in: FoldInParams,
@@ -172,25 +172,31 @@ impl ServeStats {
     }
 }
 
-/// The work a queued job asks of a worker.
-enum JobKind {
-    /// Full fold-in: answer with θ ([`JobReply::Infer`]).
-    Infer { seed: u64 },
+/// The work a queued job asks of a worker, with the channel its answer
+/// goes back on — typed per kind, so a worker cannot answer with the wrong
+/// response shape.
+pub(crate) enum JobKind {
+    /// Full fold-in: answer with θ.
+    Infer {
+        seed: u64,
+        reply: SyncSender<InferResponse>,
+    },
     /// The chain half of an ESCA fold-in over this shard's words: answer
-    /// with raw measured counts ([`JobReply::Partial`]).
-    PartialFoldIn { seed: u64 },
+    /// with raw measured counts.
+    PartialFoldIn {
+        seed: u64,
+        reply: SyncSender<PartialResponse>,
+    },
     /// One EM round under the router's current θ: answer with
-    /// responsibility counts ([`JobReply::Partial`]).
-    EmRound { theta: Arc<Vec<f64>> },
+    /// responsibility counts.
+    EmRound {
+        theta: Arc<Vec<f64>>,
+        reply: SyncSender<PartialResponse>,
+    },
 }
 
-/// What a worker sends back; the variant always matches the [`JobKind`].
-pub(crate) enum JobReply {
-    Infer(InferResponse),
-    Partial(PartialResponse),
-}
-
-/// The answer to a partial fold-in request ([`TopicServer::infer_partial`]):
+/// The answer to a partial fold-in request
+/// ([`TopicServer::infer_partial_with_deadline`]):
 /// raw per-topic counts a router merges across shards before finishing θ.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialResponse {
@@ -239,19 +245,94 @@ pub enum PartialRequest {
 #[derive(Debug, Default)]
 pub(crate) struct JobTimings {
     /// Admission-to-dequeue, microseconds.
-    pub(crate) queue_wait_us: AtomicU64,
+    queue_wait_us: AtomicU64,
     /// Dequeue-to-reply (the fold-in compute), microseconds.
-    pub(crate) handler_us: AtomicU64,
+    handler_us: AtomicU64,
 }
 
-/// A validated job paired with its reply channel and (for traced
-/// requests only) the shared timings cell the worker stamps.
-type PreparedJob = (Job, Receiver<JobReply>, Option<Arc<JobTimings>>);
+/// A job admitted to a [`TopicServer`]'s queue and not yet answered: the
+/// handle every inference method waits on, and the pending handle of a
+/// [`LocalTransport`](crate::LocalTransport) submission.
+#[derive(Debug)]
+pub struct LocalPending<T> {
+    pub(crate) rx: Receiver<T>,
+    /// Present only for traced jobs: where the worker deposits the job's
+    /// queue-wait/handler split.
+    timings: Option<Arc<JobTimings>>,
+}
+
+impl LocalPending<PartialResponse> {
+    /// Completes a partial job's response with — for traced jobs — the
+    /// same span subtree a remote shard ships inline, so the router's
+    /// stitching is transport-agnostic.
+    pub(crate) fn finish(&self, mut response: PartialResponse) -> PartialResponse {
+        if let Some(timings) = &self.timings {
+            response.spans = partial_spans(timings);
+        }
+        response
+    }
+}
+
+/// Queues `job` on a bounded queue: fail-fast ([`ServeError::Overloaded`]
+/// when full) with `fail_fast`, blocking otherwise. A closed queue is
+/// [`ServeError::Closed`].
+pub(crate) fn admit<T>(
+    queue: Option<&SyncSender<T>>,
+    job: T,
+    fail_fast: bool,
+) -> Result<(), ServeError> {
+    let queue = queue.ok_or(ServeError::Closed)?;
+    if !fail_fast {
+        return queue.send(job).map_err(|_| ServeError::Closed);
+    }
+    queue.try_send(job).map_err(|e| match e {
+        TrySendError::Full(_) => ServeError::Overloaded,
+        TrySendError::Disconnected(_) => ServeError::Closed,
+    })
+}
+
+/// The one reply wait: blocks without a deadline, otherwise waits until
+/// `deadline` and maps expiry to [`ServeError::DeadlineExceeded`] (a
+/// deadline already past fails without polling). A vanished worker pool or
+/// sender is [`ServeError::Closed`].
+pub(crate) fn wait_reply<T>(rx: &Receiver<T>, deadline: Option<Instant>) -> Result<T, ServeError> {
+    match deadline {
+        None => rx.recv().map_err(|_| ServeError::Closed),
+        Some(at) if at < Instant::now() => Err(ServeError::DeadlineExceeded),
+        Some(at) => poll_reply(rx, at)?.ok_or(ServeError::DeadlineExceeded),
+    }
+}
+
+/// Waits for a reply until `until` without treating the bound as an error:
+/// `Ok(None)` means nothing arrived yet. A bound already past still drains
+/// an already-arrived reply, so it degrades to a non-blocking poll.
+pub(crate) fn poll_reply<T>(rx: &Receiver<T>, until: Instant) -> Result<Option<T>, ServeError> {
+    match rx.recv_timeout(until.saturating_duration_since(Instant::now())) {
+        Ok(reply) => Ok(Some(reply)),
+        Err(RecvTimeoutError::Timeout) => Ok(None),
+        Err(RecvTimeoutError::Disconnected) => Err(ServeError::Closed),
+    }
+}
+
+/// Encodes a raw-token document against `vocab`, answers it with `infer`
+/// over the word ids, and adds the encoder's out-of-vocabulary count to the
+/// answer — the one raw-token path behind both `infer_raw`s and the HTTP
+/// `/infer` handler.
+pub(crate) fn infer_encoded<S: AsRef<str>>(
+    tokens: &[S],
+    vocab: &Vocabulary,
+    policy: OovPolicy,
+    infer: impl FnOnce(Vec<u32>) -> Result<InferResponse, ServeError>,
+) -> Result<InferResponse, ServeError> {
+    let encoded = vocab.encode(tokens.iter().map(AsRef::as_ref), policy)?;
+    let mut response = infer(encoded.ids)?;
+    response.n_oov += encoded.n_oov;
+    Ok(response)
+}
 
 struct Job {
     words: Vec<u32>,
     kind: JobKind,
-    reply: SyncSender<JobReply>,
     /// When the request was admitted, so workers can attribute queue wait to
     /// the latency histogram.
     enqueued: Instant,
@@ -417,55 +498,14 @@ impl TopicServer {
     /// vocabulary and [`ServeError::Closed`] if the worker pool has shut
     /// down.
     pub fn infer_topics(&self, words: Vec<u32>, seed: u64) -> Result<InferResponse, ServeError> {
-        let (rx, _) = self.submit(words, JobKind::Infer { seed }, TraceContext::disabled())?;
-        rx.recv()
-            .map_err(|_| ServeError::Closed)
-            .and_then(expect_infer)
+        self.infer_job(words, seed, None, None)
     }
 
-    /// Like [`TopicServer::infer_topics`] but fails fast with
-    /// [`ServeError::Overloaded`] instead of blocking when the queue is full
-    /// — the admission-control path for latency-sensitive callers.
-    pub fn try_infer_topics(
-        &self,
-        words: Vec<u32>,
-        seed: u64,
-    ) -> Result<InferResponse, ServeError> {
-        let (job, reply_rx, _) =
-            self.make_job(words, JobKind::Infer { seed }, TraceContext::disabled())?;
-        let queue = self.queue.as_ref().ok_or(ServeError::Closed)?;
-        match queue.try_send(job) {
-            Ok(()) => reply_rx
-                .recv()
-                .map_err(|_| ServeError::Closed)
-                .and_then(expect_infer),
-            Err(TrySendError::Full(_)) => Err(ServeError::Overloaded),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::Closed),
-        }
-    }
-
-    /// Blockingly computes the partial sufficient statistics of `request`
-    /// over `words` — the per-shard half of a sharded fold-in (see
-    /// [`crate::ShardRouter`]). Goes through the same queue, batching and
-    /// latency accounting as full requests.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::BadRequest`] for word ids outside the served
-    /// vocabulary and [`ServeError::Closed`] after shutdown.
-    pub fn infer_partial(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-    ) -> Result<PartialResponse, ServeError> {
-        let (rx, _) = self.submit(words, request.into_kind(), TraceContext::disabled())?;
-        rx.recv()
-            .map_err(|_| ServeError::Closed)
-            .and_then(expect_partial)
-    }
-
-    /// [`TopicServer::infer_partial`] with fail-fast admission and a reply
-    /// deadline — the variant a router's deadline-bounded path fans out.
+    /// Computes the partial sufficient statistics of `request` over
+    /// `words` — the per-shard half of a sharded fold-in (see
+    /// [`crate::ShardRouter`]) — with fail-fast admission and a reply
+    /// deadline. Goes through the same queue, batching and latency
+    /// accounting as full requests.
     ///
     /// # Errors
     ///
@@ -479,119 +519,7 @@ impl TopicServer {
         request: PartialRequest,
         deadline: Duration,
     ) -> Result<PartialResponse, ServeError> {
-        self.infer_partial_traced(words, request, deadline, TraceContext::disabled())
-    }
-
-    /// [`TopicServer::infer_partial_with_deadline`] with a distributed-trace
-    /// context. When `trace` is enabled the response's
-    /// [`spans`](PartialResponse::spans) carry a self-contained subtree —
-    /// an `infer-partial` root with `queue-wait` and `handler` children,
-    /// offsets relative to this request's admission — that a remote router
-    /// stitches into its own trace with
-    /// [`saber_trace::TraceBuilder::attach`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`TopicServer::infer_partial_with_deadline`].
-    pub fn infer_partial_traced(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-        deadline: Duration,
-        trace: TraceContext,
-    ) -> Result<PartialResponse, ServeError> {
-        let (job, reply_rx, timings) = self.make_job(words, request.into_kind(), trace)?;
-        let queue = self.queue.as_ref().ok_or(ServeError::Closed)?;
-        match queue.try_send(job) {
-            Ok(()) => match reply_rx.recv_timeout(deadline) {
-                Ok(reply) => {
-                    let mut response = expect_partial(reply)?;
-                    if let Some(timings) = &timings {
-                        response.spans = partial_spans(timings);
-                    }
-                    Ok(response)
-                }
-                Err(RecvTimeoutError::Timeout) => Err(ServeError::DeadlineExceeded),
-                Err(RecvTimeoutError::Disconnected) => Err(ServeError::Closed),
-            },
-            Err(TrySendError::Full(_)) => Err(ServeError::Overloaded),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::Closed),
-        }
-    }
-
-    /// Fail-fast inference with a response deadline: rejects immediately
-    /// with [`ServeError::Overloaded`] when the queue is full, and gives up
-    /// with [`ServeError::DeadlineExceeded`] if no answer arrives within
-    /// `deadline`. This is the admission path the HTTP front-end uses to
-    /// turn overload into `429`/`503` instead of an unbounded hang.
-    ///
-    /// An abandoned request still completes on its worker (its reply channel
-    /// has capacity for the answer, so the worker never blocks on it) — the
-    /// deadline bounds the *caller's* wait, not the server's work.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] for out-of-range word ids,
-    /// [`ServeError::Overloaded`] when the queue is full,
-    /// [`ServeError::DeadlineExceeded`] on timeout and
-    /// [`ServeError::Closed`] after shutdown.
-    pub fn infer_with_deadline(
-        &self,
-        words: Vec<u32>,
-        seed: u64,
-        deadline: Duration,
-    ) -> Result<InferResponse, ServeError> {
-        let (job, reply_rx, _) =
-            self.make_job(words, JobKind::Infer { seed }, TraceContext::disabled())?;
-        let queue = self.queue.as_ref().ok_or(ServeError::Closed)?;
-        match queue.try_send(job) {
-            Ok(()) => match reply_rx.recv_timeout(deadline) {
-                Ok(reply) => expect_infer(reply),
-                Err(RecvTimeoutError::Timeout) => Err(ServeError::DeadlineExceeded),
-                Err(RecvTimeoutError::Disconnected) => Err(ServeError::Closed),
-            },
-            Err(TrySendError::Full(_)) => Err(ServeError::Overloaded),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::Closed),
-        }
-    }
-
-    /// [`TopicServer::infer_with_deadline`] that additionally records
-    /// `queue-wait` and `handler` child spans under `parent` in `trace` —
-    /// the request path the HTTP front-end's traced `/infer` handler uses.
-    /// Tracing never perturbs the answer: the seed, the words and the
-    /// fold-in all ignore it.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`TopicServer::infer_with_deadline`].
-    pub fn infer_traced(
-        &self,
-        words: Vec<u32>,
-        seed: u64,
-        deadline: Duration,
-        trace: &mut TraceBuilder,
-        parent: u64,
-    ) -> Result<InferResponse, ServeError> {
-        let ctx = TraceContext::child(trace.trace_id(), parent);
-        let base_us = trace.elapsed_us();
-        let (job, reply_rx, timings) = self.make_job(words, JobKind::Infer { seed }, ctx)?;
-        let queue = self.queue.as_ref().ok_or(ServeError::Closed)?;
-        let result = match queue.try_send(job) {
-            Ok(()) => match reply_rx.recv_timeout(deadline) {
-                Ok(reply) => expect_infer(reply),
-                Err(RecvTimeoutError::Timeout) => Err(ServeError::DeadlineExceeded),
-                Err(RecvTimeoutError::Disconnected) => Err(ServeError::Closed),
-            },
-            Err(TrySendError::Full(_)) => Err(ServeError::Overloaded),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::Closed),
-        };
-        if let (Ok(_), Some(timings)) = (&result, &timings) {
-            let queue_wait_us = timings.queue_wait_us.load(Ordering::Relaxed);
-            let handler_us = timings.handler_us.load(Ordering::Relaxed);
-            trace.push_span(Some(parent), "queue-wait", base_us, queue_wait_us);
-            trace.push_span(Some(parent), "handler", base_us + queue_wait_us, handler_us);
-        }
-        result
+        InferenceBackend::infer_partial(self, words, request, deadline, TraceContext::disabled())
     }
 
     /// Submits a whole batch and waits for every answer, preserving order.
@@ -603,24 +531,17 @@ impl TopicServer {
         &self,
         requests: Vec<InferRequest>,
     ) -> Result<Vec<InferResponse>, ServeError> {
-        let receivers: Vec<_> = requests
+        let pending: Vec<_> = requests
             .into_iter()
             .map(|r| {
-                self.submit(
-                    r.words,
-                    JobKind::Infer { seed: r.seed },
-                    TraceContext::disabled(),
-                )
+                let kind = |reply| JobKind::Infer {
+                    seed: r.seed,
+                    reply,
+                };
+                self.enqueue(r.words, kind, None, TraceContext::disabled())
             })
             .collect::<Result<_, _>>()?;
-        receivers
-            .into_iter()
-            .map(|(rx, _)| {
-                rx.recv()
-                    .map_err(|_| ServeError::Closed)
-                    .and_then(expect_infer)
-            })
-            .collect()
+        pending.iter().map(|p| wait_reply(&p.rx, None)).collect()
     }
 
     /// Encodes a raw-token document against `vocab` and infers its topics;
@@ -637,31 +558,40 @@ impl TopicServer {
         policy: OovPolicy,
         seed: u64,
     ) -> Result<InferResponse, ServeError> {
-        let encoded = vocab.encode(tokens.iter().map(AsRef::as_ref), policy)?;
-        let mut response = self.infer_topics(encoded.ids, seed)?;
-        response.n_oov += encoded.n_oov;
-        Ok(response)
+        infer_encoded(tokens, vocab, policy, |words| {
+            self.infer_topics(words, seed)
+        })
     }
 
-    /// [`TopicServer::infer_raw`] with the fail-fast admission and deadline
-    /// semantics of [`TopicServer::infer_with_deadline`] — the raw-token
-    /// path the HTTP front-end serves.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding failures ([`OovPolicy::Fail`]) plus everything
-    /// [`TopicServer::infer_with_deadline`] can return.
-    pub fn infer_raw_with_deadline<S: AsRef<str>>(
+    /// One full inference: blocking without a deadline, fail-fast and
+    /// deadline-bounded with one (the path the HTTP front-end maps to
+    /// `429`/`503`). A traced call records `queue-wait` and `handler`
+    /// child spans under the given parent; tracing never perturbs the
+    /// answer. An abandoned request still completes on its worker (its
+    /// reply channel has capacity for the answer, so the worker never
+    /// blocks on it) — the deadline bounds the *caller's* wait, not the
+    /// server's work.
+    pub(crate) fn infer_job(
         &self,
-        tokens: &[S],
-        vocab: &Vocabulary,
-        policy: OovPolicy,
+        words: Vec<u32>,
         seed: u64,
-        deadline: Duration,
+        deadline: Option<Duration>,
+        trace: Option<(&mut TraceBuilder, u64)>,
     ) -> Result<InferResponse, ServeError> {
-        let encoded = vocab.encode(tokens.iter().map(AsRef::as_ref), policy)?;
-        let mut response = self.infer_with_deadline(encoded.ids, seed, deadline)?;
-        response.n_oov += encoded.n_oov;
+        let deadline = deadline.map(|d| Instant::now() + d);
+        let (ctx, base_us) = match &trace {
+            Some((t, parent)) => (TraceContext::child(t.trace_id(), *parent), t.elapsed_us()),
+            None => (TraceContext::disabled(), 0),
+        };
+        let kind = |reply| JobKind::Infer { seed, reply };
+        let pending = self.enqueue(words, kind, deadline, ctx)?;
+        let response = wait_reply(&pending.rx, deadline)?;
+        if let (Some((trace, parent)), Some(timings)) = (trace, &pending.timings) {
+            let queue_wait_us = timings.queue_wait_us.load(Ordering::Relaxed);
+            let handler_us = timings.handler_us.load(Ordering::Relaxed);
+            trace.push_span(Some(parent), "queue-wait", base_us, queue_wait_us);
+            trace.push_span(Some(parent), "handler", base_us + queue_wait_us, handler_us);
+        }
         Ok(response)
     }
 
@@ -708,74 +638,30 @@ impl TopicServer {
         }
     }
 
-    /// Validates a request and pairs it with its capacity-1 reply channel.
-    /// A timings cell is allocated only for traced jobs (`trace` enabled),
-    /// so untraced requests pay nothing beyond copying the disabled context.
-    fn make_job(
+    /// The one admission path: validates `words`, then queues the job —
+    /// fail-fast ([`ServeError::Overloaded`] on a full queue) exactly when
+    /// a deadline is given, blocking otherwise. A timings cell is
+    /// allocated only for traced jobs (`trace` enabled), so untraced
+    /// requests pay nothing beyond copying the disabled context.
+    pub(crate) fn enqueue<T>(
         &self,
         words: Vec<u32>,
-        kind: JobKind,
+        kind: impl FnOnce(SyncSender<T>) -> JobKind,
+        deadline: Option<Instant>,
         trace: TraceContext,
-    ) -> Result<PreparedJob, ServeError> {
+    ) -> Result<LocalPending<T>, ServeError> {
         self.validate_words(&words)?;
-        let (reply_tx, reply_rx) = sync_channel(1);
+        let (reply, rx) = sync_channel(1);
         let timings = trace.enabled().then(|| Arc::new(JobTimings::default()));
-        Ok((
-            Job {
-                words,
-                kind,
-                reply: reply_tx,
-                enqueued: Instant::now(),
-                trace,
-                timings: timings.clone(),
-            },
-            reply_rx,
-            timings,
-        ))
-    }
-
-    /// Enqueues a partial request without waiting for the reply — the
-    /// router's fan-out path (submit to every shard, then collect).
-    /// Blocking admission: waits when the queue is full.
-    pub(crate) fn submit_partial(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-        trace: TraceContext,
-    ) -> Result<(Receiver<JobReply>, Option<Arc<JobTimings>>), ServeError> {
-        self.submit(words, request.into_kind(), trace)
-    }
-
-    /// Fail-fast variant of [`TopicServer::submit_partial`]:
-    /// [`ServeError::Overloaded`] instead of blocking on a full queue.
-    pub(crate) fn try_submit_partial(
-        &self,
-        words: Vec<u32>,
-        request: PartialRequest,
-        trace: TraceContext,
-    ) -> Result<(Receiver<JobReply>, Option<Arc<JobTimings>>), ServeError> {
-        let (job, reply_rx, timings) = self.make_job(words, request.into_kind(), trace)?;
-        let queue = self.queue.as_ref().ok_or(ServeError::Closed)?;
-        match queue.try_send(job) {
-            Ok(()) => Ok((reply_rx, timings)),
-            Err(TrySendError::Full(_)) => Err(ServeError::Overloaded),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::Closed),
-        }
-    }
-
-    fn submit(
-        &self,
-        words: Vec<u32>,
-        kind: JobKind,
-        trace: TraceContext,
-    ) -> Result<(Receiver<JobReply>, Option<Arc<JobTimings>>), ServeError> {
-        let (job, reply_rx, timings) = self.make_job(words, kind, trace)?;
-        self.queue
-            .as_ref()
-            .ok_or(ServeError::Closed)?
-            .send(job)
-            .map_err(|_| ServeError::Closed)?;
-        Ok((reply_rx, timings))
+        let job = Job {
+            words,
+            kind: kind(reply),
+            enqueued: Instant::now(),
+            trace,
+            timings: timings.clone(),
+        };
+        admit(self.queue.as_ref(), job, deadline.is_some())?;
+        Ok(LocalPending { rx, timings })
     }
 
     fn shutdown_in_place(&mut self) {
@@ -832,7 +718,6 @@ fn worker_loop(
         counters.batches.fetch_add(1, Ordering::Relaxed);
         for mut job in batch.drain(..) {
             let dequeued = Instant::now();
-            let queue_wait = dequeued.duration_since(job.enqueued);
             // Submission validated against the then-current snapshot; if a
             // swap shrank the vocabulary since, drop the now-unservable ids
             // (reported as OOV) rather than panicking the worker.
@@ -840,83 +725,88 @@ fn worker_loop(
             let submitted = job.words.len();
             job.words.retain(|&w| w < vocab_size);
             let n_oov = submitted - job.words.len();
-
-            let reply = match &job.kind {
-                JobKind::Infer { seed } => JobReply::Infer(InferResponse {
-                    theta: snapshot.infer_topics(&job.words, *seed, fold_in),
-                    snapshot_version: snapshot.version(),
-                    n_oov,
-                }),
-                JobKind::PartialFoldIn { seed } => JobReply::Partial(PartialResponse {
-                    partial: snapshot.partial_fold_in(&job.words, *seed, fold_in),
-                    snapshot_version: snapshot.version(),
-                    n_oov,
-                    spans: Vec::new(),
-                }),
-                JobKind::EmRound { theta } => JobReply::Partial(PartialResponse {
-                    partial: snapshot.em_round(&job.words, theta),
-                    snapshot_version: snapshot.version(),
-                    n_oov,
-                    spans: Vec::new(),
-                }),
+            let version = snapshot.version();
+            let partial = |partial| PartialResponse {
+                partial,
+                snapshot_version: version,
+                n_oov,
+                spans: Vec::new(),
             };
-            let handler = dequeued.elapsed();
-            counters.requests.fetch_add(1, Ordering::Relaxed);
-            counters
-                .tokens
-                .fetch_add(job.words.len() as u64, Ordering::Relaxed);
-            counters.queue_wait.record(queue_wait);
-            counters.handler.record(handler);
-            counters.latency.record_with_exemplar(
-                job.enqueued.elapsed(),
-                job.trace.trace_id().map_or(0, |id| id.raw()),
-            );
-            if let Some(timings) = &job.timings {
-                timings.queue_wait_us.store(
-                    queue_wait.as_micros().min(u128::from(u64::MAX)) as u64,
-                    Ordering::Relaxed,
-                );
-                timings.handler_us.store(
-                    handler.as_micros().min(u128::from(u64::MAX)) as u64,
-                    Ordering::Relaxed,
-                );
+
+            // Each arm accounts the job before replying, so a traced
+            // requester reads complete timings. A send only fails if the
+            // requester's receiver is gone (its thread panicked between
+            // submit and reply); nothing to do.
+            match &job.kind {
+                JobKind::Infer { seed, reply } => {
+                    let theta = snapshot.infer_topics(&job.words, *seed, fold_in);
+                    account(counters, &job, dequeued);
+                    let _ = reply.send(InferResponse {
+                        theta,
+                        snapshot_version: version,
+                        n_oov,
+                    });
+                }
+                JobKind::PartialFoldIn { seed, reply } => {
+                    let counts = snapshot.partial_fold_in(&job.words, *seed, fold_in);
+                    account(counters, &job, dequeued);
+                    let _ = reply.send(partial(counts));
+                }
+                JobKind::EmRound { theta, reply } => {
+                    let counts = snapshot.em_round(&job.words, theta);
+                    account(counters, &job, dequeued);
+                    let _ = reply.send(partial(counts));
+                }
             }
-            // A send only fails if the requester's receiver is gone (its
-            // thread panicked between submit and reply); nothing to do.
-            let _ = job.reply.send(reply);
         }
+    }
+}
+
+/// Records one answered job — queue wait, handler time, end-to-end latency
+/// with its trace exemplar — and, for traced jobs, stamps the timings cell
+/// the requester turns into spans.
+fn account(counters: &Counters, job: &Job, dequeued: Instant) {
+    let queue_wait = dequeued.duration_since(job.enqueued);
+    let handler = dequeued.elapsed();
+    counters.requests.fetch_add(1, Ordering::Relaxed);
+    counters
+        .tokens
+        .fetch_add(job.words.len() as u64, Ordering::Relaxed);
+    counters.queue_wait.record(queue_wait);
+    counters.handler.record(handler);
+    counters.latency.record_with_exemplar(
+        job.enqueued.elapsed(),
+        job.trace.trace_id().map_or(0, |id| id.raw()),
+    );
+    if let Some(timings) = &job.timings {
+        timings.queue_wait_us.store(
+            queue_wait.as_micros().min(u128::from(u64::MAX)) as u64,
+            Ordering::Relaxed,
+        );
+        timings.handler_us.store(
+            handler.as_micros().min(u128::from(u64::MAX)) as u64,
+            Ordering::Relaxed,
+        );
     }
 }
 
 impl PartialRequest {
-    fn into_kind(self) -> JobKind {
+    /// The job that computes this request, answering on `reply`.
+    pub(crate) fn into_kind(self, reply: SyncSender<PartialResponse>) -> JobKind {
         match self {
-            PartialRequest::FoldIn { seed } => JobKind::PartialFoldIn { seed },
-            PartialRequest::EmRound { theta, .. } => JobKind::EmRound { theta },
+            PartialRequest::FoldIn { seed } => JobKind::PartialFoldIn { seed, reply },
+            PartialRequest::EmRound { theta, .. } => JobKind::EmRound { theta, reply },
         }
-    }
-}
-
-/// Workers answer every [`JobKind`] with its matching [`JobReply`] variant,
-/// so a mismatch is a serving-crate bug, not a caller error — but a bug in
-/// one code path must degrade that request to [`ServeError::Internal`], not
-/// kill the calling thread.
-fn expect_infer(reply: JobReply) -> Result<InferResponse, ServeError> {
-    match reply {
-        JobReply::Infer(response) => Ok(response),
-        JobReply::Partial(_) => Err(ServeError::Internal {
-            detail: "worker answered an infer job with a partial response".to_string(),
-        }),
     }
 }
 
 /// Builds the self-contained span subtree a shard reports for one traced
 /// partial request: an `infer-partial` root with `queue-wait` and `handler`
 /// children, ids dense from 1 and offsets relative to the request's
-/// admission. Both the in-process [`TopicServer::infer_partial_traced`] and
-/// the local transport's wait path use this, so local and remote shards
-/// produce identical subtrees for a router to attach.
-pub(crate) fn partial_spans(timings: &JobTimings) -> Vec<SpanRecord> {
+/// admission. Every traced partial job ends here ([`LocalPending`]), so
+/// local and remote shards produce identical subtrees for a router to
+/// attach.
+fn partial_spans(timings: &JobTimings) -> Vec<SpanRecord> {
     let queue_wait_us = timings.queue_wait_us.load(Ordering::Relaxed);
     let handler_us = timings.handler_us.load(Ordering::Relaxed);
     vec![
@@ -945,15 +835,6 @@ pub(crate) fn partial_spans(timings: &JobTimings) -> Vec<SpanRecord> {
             events: Vec::new(),
         },
     ]
-}
-
-pub(crate) fn expect_partial(reply: JobReply) -> Result<PartialResponse, ServeError> {
-    match reply {
-        JobReply::Partial(response) => Ok(response),
-        JobReply::Infer(_) => Err(ServeError::Internal {
-            detail: "worker answered a partial job with a full response".to_string(),
-        }),
-    }
 }
 
 #[cfg(test)]
@@ -1098,7 +979,7 @@ mod tests {
             other => panic!("expected BadRequest, got {other:?}"),
         }
         assert!(matches!(
-            server.try_infer_topics(vec![12], 1),
+            server.infer_job(vec![12], 1, Some(Duration::from_secs(5)), None),
             Err(ServeError::BadRequest { .. })
         ));
         // …and the pool keeps serving afterwards.
@@ -1137,16 +1018,16 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         // Admitted to the (empty) queue but unserved within the deadline.
         assert!(matches!(
-            server.infer_with_deadline(vec![0; 10_000], 2, Duration::from_millis(1)),
+            server.infer_job(vec![0; 10_000], 2, Some(Duration::from_millis(1)), None),
             Err(ServeError::DeadlineExceeded)
         ));
         // The abandoned job still occupies the depth-1 queue: fail fast.
         assert!(matches!(
-            server.infer_with_deadline(vec![3], 3, Duration::from_millis(1)),
+            server.infer_job(vec![3], 3, Some(Duration::from_millis(1)), None),
             Err(ServeError::Overloaded)
         ));
         assert!(matches!(
-            server.try_infer_topics(vec![3], 3),
+            server.infer_job(vec![3], 3, Some(Duration::from_secs(5)), None),
             Err(ServeError::Overloaded)
         ));
         heavy.join().unwrap().unwrap();
@@ -1161,7 +1042,11 @@ mod tests {
         let words = vec![0u32, 3, 6, 9, 0, 3];
         let full = server.infer_topics(words.clone(), 11).unwrap();
         let partial = server
-            .infer_partial(words.clone(), PartialRequest::FoldIn { seed: 11 })
+            .infer_partial_with_deadline(
+                words.clone(),
+                PartialRequest::FoldIn { seed: 11 },
+                Duration::from_secs(5),
+            )
             .unwrap();
         assert_eq!(partial.snapshot_version, 1);
         assert_eq!(partial.n_oov, 0);
@@ -1185,13 +1070,21 @@ mod tests {
         // to 1).
         let theta = Arc::new(vec![1.0f64 / 3.0; 3]);
         let round = server
-            .infer_partial(words.clone(), PartialRequest::EmRound { round: 0, theta })
+            .infer_partial_with_deadline(
+                words.clone(),
+                PartialRequest::EmRound { round: 0, theta },
+                Duration::from_secs(5),
+            )
             .unwrap();
         let total: f64 = round.partial.counts.iter().sum();
         assert!((total - words.len() as f64).abs() < 1e-9, "total = {total}");
         // Partial requests share the validation path with full ones.
         assert!(matches!(
-            server.infer_partial(vec![99], PartialRequest::FoldIn { seed: 0 }),
+            server.infer_partial_with_deadline(
+                vec![99],
+                PartialRequest::FoldIn { seed: 0 },
+                Duration::from_secs(5)
+            ),
             Err(ServeError::BadRequest { .. })
         ));
         server.shutdown();
@@ -1248,7 +1141,12 @@ mod tests {
         let mut trace = TraceBuilder::new(id);
         let root = trace.begin(None, "test-root");
         let traced = server
-            .infer_traced(vec![0, 3, 6], 7, Duration::from_secs(5), &mut trace, root)
+            .infer_job(
+                vec![0, 3, 6],
+                7,
+                Some(Duration::from_secs(5)),
+                Some((&mut trace, root)),
+            )
             .unwrap();
         // Tracing is invisible to the answer itself.
         let untraced = server.infer_topics(vec![0, 3, 6], 7).unwrap();
@@ -1267,7 +1165,7 @@ mod tests {
         // The partial path reports a self-contained subtree in the response
         // (what a remote shard ships inline for the router to attach)…
         let partial = server
-            .infer_partial_traced(
+            .infer_partial(
                 vec![0, 3],
                 PartialRequest::FoldIn { seed: 1 },
                 Duration::from_secs(5),
@@ -1281,7 +1179,11 @@ mod tests {
         // …while untraced partials carry no spans at all, keeping the wire
         // encoding of existing deployments byte-identical.
         let untraced_partial = server
-            .infer_partial(vec![0, 3], PartialRequest::FoldIn { seed: 1 })
+            .infer_partial_with_deadline(
+                vec![0, 3],
+                PartialRequest::FoldIn { seed: 1 },
+                Duration::from_secs(5),
+            )
             .unwrap();
         assert!(untraced_partial.spans.is_empty());
         server.shutdown();

@@ -29,11 +29,10 @@
 //! [`ShardTransport::commit_publish`] loop that actually swaps — keeping
 //! the mixed-version window as tight as a single in-process Arc swap.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -41,12 +40,11 @@ use std::time::{Duration, Instant};
 use saber_core::model_io::{save_delta, DeltaPayload};
 use saber_trace::TraceContext;
 
-use crate::server::{
-    expect_partial, partial_spans, JobReply, JobTimings, PartialRequest, PartialResponse,
-};
+use crate::client::{self, HttpClient};
+use crate::server::{admit, poll_reply, wait_reply, LocalPending, PartialRequest, PartialResponse};
 use crate::snapshot::{FoldInParams, InferenceSnapshot};
 use crate::wire;
-use crate::{ServeError, ServeStats, TopicServer};
+use crate::{InferenceBackend, ServeError, ServeStats, TopicServer};
 
 /// A shard's self-description, as reported by [`ShardTransport::shard_info`]
 /// (and served remotely as `GET /shard-info`). The router validates a fleet
@@ -472,58 +470,22 @@ impl LocalTransport {
     }
 }
 
-/// The pending handle of a [`LocalTransport`] submission: the reply channel
-/// of the job sitting in the server's queue, plus the timings cell the
-/// worker fills for traced requests.
-#[derive(Debug)]
-pub struct LocalPending {
-    rx: Receiver<JobReply>,
-    timings: Option<Arc<JobTimings>>,
-}
-
-impl LocalPending {
-    fn finish(&self, reply: JobReply) -> Result<PartialResponse, ServeError> {
-        let mut response = expect_partial(reply)?;
-        // The same span subtree a remote shard would ship inline, so the
-        // router's stitching is transport-agnostic.
-        if let Some(timings) = &self.timings {
-            response.spans = partial_spans(timings);
-        }
-        Ok(response)
-    }
-}
-
-impl PendingPartial for LocalPending {
+impl PendingPartial for LocalPending<PartialResponse> {
     fn wait(self, deadline: Option<Instant>) -> Result<PartialResponse, ServeError> {
-        let reply = match deadline {
-            None => self.rx.recv().map_err(|_| ServeError::Closed)?,
-            Some(at) => {
-                let remaining = at
-                    .checked_duration_since(Instant::now())
-                    .ok_or(ServeError::DeadlineExceeded)?;
-                self.rx.recv_timeout(remaining).map_err(|e| match e {
-                    RecvTimeoutError::Timeout => ServeError::DeadlineExceeded,
-                    RecvTimeoutError::Disconnected => ServeError::Closed,
-                })?
-            }
-        };
-        self.finish(reply)
+        wait_reply(&self.rx, deadline).map(|response| self.finish(response))
     }
 
-    fn wait_until(self, until: Instant) -> PollOutcome<LocalPending> {
-        // A zero-duration recv_timeout still drains an already-arrived
-        // reply, so a bound in the past degrades to a non-blocking poll.
-        let bound = until.saturating_duration_since(Instant::now());
-        match self.rx.recv_timeout(bound) {
-            Ok(reply) => PollOutcome::Ready(self.finish(reply)),
-            Err(RecvTimeoutError::Timeout) => PollOutcome::Pending(self),
-            Err(RecvTimeoutError::Disconnected) => PollOutcome::Ready(Err(ServeError::Closed)),
+    fn wait_until(self, until: Instant) -> PollOutcome<Self> {
+        match poll_reply(&self.rx, until) {
+            Ok(Some(response)) => PollOutcome::Ready(Ok(self.finish(response))),
+            Ok(None) => PollOutcome::Pending(self),
+            Err(e) => PollOutcome::Ready(Err(e)),
         }
     }
 }
 
 impl ShardTransport for LocalTransport {
-    type Pending = LocalPending;
+    type Pending = LocalPending<PartialResponse>;
 
     fn submit_partial(
         &self,
@@ -531,23 +493,13 @@ impl ShardTransport for LocalTransport {
         request: PartialRequest,
         deadline: Option<Instant>,
         trace: TraceContext,
-    ) -> Result<LocalPending, ServeError> {
-        let (rx, timings) = if deadline.is_some() {
-            self.server.try_submit_partial(words, request, trace)?
-        } else {
-            self.server.submit_partial(words, request, trace)?
-        };
-        Ok(LocalPending { rx, timings })
+    ) -> Result<Self::Pending, ServeError> {
+        let kind = |reply| request.into_kind(reply);
+        self.server.enqueue(words, kind, deadline, trace)
     }
 
     fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
-        let snapshot = self.server.snapshot();
-        if k >= snapshot.n_topics() {
-            return Err(ServeError::BadRequest {
-                detail: format!("topic {k} out of range (K = {})", snapshot.n_topics()),
-            });
-        }
-        Ok(snapshot.top_words(k, n))
+        InferenceBackend::top_words(&self.server, k, n)
     }
 
     fn shard_info(&self) -> Result<ShardInfo, ServeError> {
@@ -647,10 +599,6 @@ impl Default for HttpTransportConfig {
     }
 }
 
-/// Largest HTTP response body the client accepts (a defensive bound; real
-/// responses are a few KB).
-const MAX_RESPONSE_BYTES: usize = 64 << 20;
-
 /// The outcome of one raw HTTP exchange: status + body, or the transport
 /// error that prevented it.
 type HttpOutcome = Result<(u16, Vec<u8>), ServeError>;
@@ -747,10 +695,10 @@ impl HttpTransport {
         self.addr
     }
 
-    /// Builds one HTTP/1.1 request as bytes (keep-alive implied). An
-    /// enabled `trace` context rides along as the `X-Saber-Trace` header
-    /// (`<trace-id>-<parent-span-id>`, both 16 hex digits), which is how a
-    /// trace crosses the machine boundary to a shard process.
+    /// Builds one shard-protocol request. An enabled `trace` context rides
+    /// along as the `X-Saber-Trace` header (`<trace-id>-<parent-span-id>`,
+    /// both 16 hex digits), which is how a trace crosses the machine
+    /// boundary to a shard process.
     fn request_bytes(
         method: &str,
         path: &str,
@@ -759,23 +707,19 @@ impl HttpTransport {
         epoch: Option<u64>,
         trace: Option<&TraceContext>,
     ) -> Vec<u8> {
-        let mut head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: shard\r\nContent-Length: {}\r\n",
-            body.len()
-        );
+        let epoch = epoch.map(|e| e.to_string());
+        let trace = trace.and_then(TraceContext::header_value);
+        let mut headers = Vec::new();
         if !body.is_empty() {
-            head.push_str(&format!("Content-Type: {content_type}\r\n"));
+            headers.push(("Content-Type", content_type));
         }
-        if let Some(epoch) = epoch {
-            head.push_str(&format!("X-Saber-Epoch: {epoch}\r\n"));
+        if let Some(epoch) = &epoch {
+            headers.push(("X-Saber-Epoch", epoch.as_str()));
         }
-        if let Some(value) = trace.and_then(TraceContext::header_value) {
-            head.push_str(&format!("X-Saber-Trace: {value}\r\n"));
+        if let Some(trace) = &trace {
+            headers.push(("X-Saber-Trace", trace.as_str()));
         }
-        head.push_str("\r\n");
-        let mut request = head.into_bytes();
-        request.extend_from_slice(body);
-        request
+        client::request_bytes(method, path, "shard", &headers, body)
     }
 
     /// Enqueues a request without waiting (the fan-out path).
@@ -784,33 +728,27 @@ impl HttpTransport {
         request: Vec<u8>,
         fail_fast: bool,
     ) -> Result<Receiver<HttpOutcome>, ServeError> {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        let job = HttpJob {
-            request,
-            reply: reply_tx,
-        };
-        let queue = self.queue.as_ref().ok_or(ServeError::Closed)?;
-        if fail_fast {
-            match queue.try_send(job) {
-                Ok(()) => Ok(reply_rx),
-                Err(TrySendError::Full(_)) => Err(ServeError::Overloaded),
-                Err(TrySendError::Disconnected(_)) => Err(ServeError::Closed),
-            }
-        } else {
-            queue.send(job).map_err(|_| ServeError::Closed)?;
-            Ok(reply_rx)
-        }
+        let (reply, rx) = sync_channel(1);
+        admit(self.queue.as_ref(), HttpJob { request, reply }, fail_fast)?;
+        Ok(rx)
     }
 
     /// Round-trips one request synchronously with a bounded wait (the
     /// control path: info, stats, publication).
     fn call(&self, request: Vec<u8>, wait: Duration) -> Result<(u16, Vec<u8>), ServeError> {
         let rx = self.enqueue(request, false)?;
-        match rx.recv_timeout(wait) {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => Err(ServeError::DeadlineExceeded),
-            Err(RecvTimeoutError::Disconnected) => Err(ServeError::Closed),
-        }
+        wait_reply(&rx, Some(Instant::now() + wait))?
+    }
+
+    /// A control-path `GET` of `path`, its 200 body decoded by `decode`.
+    fn get<T>(
+        &self,
+        path: &str,
+        decode: impl FnOnce(&str) -> Result<T, wire::WireError>,
+    ) -> Result<T, ServeError> {
+        let request = Self::request_bytes("GET", path, "application/json", &[], None, None);
+        let (status, body) = self.call(request, self.config.control_wait)?;
+        decode_body(status, &body, decode)
     }
 }
 
@@ -829,30 +767,17 @@ pub struct HttpPending(Receiver<HttpOutcome>);
 
 impl PendingPartial for HttpPending {
     fn wait(self, deadline: Option<Instant>) -> Result<PartialResponse, ServeError> {
-        let outcome = match deadline {
-            None => self.0.recv().map_err(|_| ServeError::Closed)?,
-            Some(at) => {
-                let remaining = at
-                    .checked_duration_since(Instant::now())
-                    .ok_or(ServeError::DeadlineExceeded)?;
-                self.0.recv_timeout(remaining).map_err(|e| match e {
-                    RecvTimeoutError::Timeout => ServeError::DeadlineExceeded,
-                    RecvTimeoutError::Disconnected => ServeError::Closed,
-                })?
-            }
-        };
-        let (status, body) = outcome?;
+        let (status, body) = wait_reply(&self.0, deadline)??;
         decode_body(status, &body, wire::decode_partial_response)
     }
 
     fn wait_until(self, until: Instant) -> PollOutcome<HttpPending> {
-        let bound = until.saturating_duration_since(Instant::now());
-        match self.0.recv_timeout(bound) {
-            Ok(outcome) => PollOutcome::Ready(outcome.and_then(|(status, body)| {
+        match poll_reply(&self.0, until) {
+            Ok(Some(outcome)) => PollOutcome::Ready(outcome.and_then(|(status, body)| {
                 decode_body(status, &body, wire::decode_partial_response)
             })),
-            Err(RecvTimeoutError::Timeout) => PollOutcome::Pending(self),
-            Err(RecvTimeoutError::Disconnected) => PollOutcome::Ready(Err(ServeError::Closed)),
+            Ok(None) => PollOutcome::Pending(self),
+            Err(e) => PollOutcome::Ready(Err(e)),
         }
     }
 }
@@ -896,29 +821,18 @@ impl ShardTransport for HttpTransport {
     }
 
     fn top_words(&self, k: usize, n: usize) -> Result<Vec<(u32, f32)>, ServeError> {
-        let request = Self::request_bytes(
-            "GET",
+        self.get(
             &format!("/top-words?topic={k}&n={n}"),
-            "application/json",
-            &[],
-            None,
-            None,
-        );
-        let (status, body) = self.call(request, self.config.control_wait)?;
-        decode_body(status, &body, wire::decode_top_words)
+            wire::decode_top_words,
+        )
     }
 
     fn shard_info(&self) -> Result<ShardInfo, ServeError> {
-        let request =
-            Self::request_bytes("GET", "/shard-info", "application/json", &[], None, None);
-        let (status, body) = self.call(request, self.config.control_wait)?;
-        decode_body(status, &body, wire::decode_shard_info)
+        self.get("/shard-info", wire::decode_shard_info)
     }
 
     fn observe_epoch(&self) -> Result<u64, ServeError> {
-        let request = Self::request_bytes("GET", "/healthz", "application/json", &[], None, None);
-        let (status, body) = self.call(request, self.config.control_wait)?;
-        decode_body(status, &body, wire::decode_healthz_version)
+        self.get("/healthz", wire::decode_healthz_version)
     }
 
     fn prepare_publish(&self, slice: InferenceSnapshot, epoch: u64) -> Result<(), ServeError> {
@@ -980,13 +894,13 @@ impl ShardTransport for HttpTransport {
     }
 }
 
-/// One sender thread: owns (at most) one keep-alive connection, drains the
-/// shared job queue, and reconnects on I/O failure — retrying the in-hand
-/// request once on a fresh connection, since every message on this
-/// protocol is safe to replay (partials are pure computation, staging and
-/// commits are idempotent).
+/// One sender thread: owns one keep-alive [`HttpClient`], drains the
+/// shared job queue, and retries the in-hand request once on a fresh
+/// connection after an I/O failure, since every message on this protocol
+/// is safe to replay (partials are pure computation, staging and commits
+/// are idempotent).
 fn sender_loop(rx: &Mutex<Receiver<HttpJob>>, addr: SocketAddr, config: HttpTransportConfig) {
-    let mut connection: Option<BufReader<TcpStream>> = None;
+    let mut client = HttpClient::new(addr, &config);
     loop {
         let job = {
             // Sender threads never panic holding this lock; recover from
@@ -997,92 +911,15 @@ fn sender_loop(rx: &Mutex<Receiver<HttpJob>>, addr: SocketAddr, config: HttpTran
                 Err(_) => return,
             }
         };
-        let mut result = exchange(&mut connection, addr, &config, &job.request);
-        if result.is_err() {
-            // The keep-alive connection may simply have been closed by the
-            // shard between requests; one fresh-connection retry
-            // distinguishes that from a shard that is actually down.
-            connection = None;
-            result = exchange(&mut connection, addr, &config, &job.request);
-            if result.is_err() {
-                connection = None;
-            }
-        }
+        // The keep-alive connection may simply have been closed by the
+        // shard between requests; one fresh-connection retry distinguishes
+        // that from a shard that is actually down.
+        let result = client
+            .exchange(&job.request)
+            .or_else(|_| client.exchange(&job.request));
         // A send fails only when the requester stopped waiting; fine.
         let _ = job.reply.send(result);
     }
-}
-
-/// Writes one request and reads one response over the (re)used connection.
-fn exchange(
-    connection: &mut Option<BufReader<TcpStream>>,
-    addr: SocketAddr,
-    config: &HttpTransportConfig,
-    request: &[u8],
-) -> Result<(u16, Vec<u8>), ServeError> {
-    // Every I/O failure names the peer it happened against, so a router's
-    // 502 can attribute the fan-out leg that broke.
-    let transport_err = |detail: String| ServeError::Transport {
-        detail,
-        shard: None,
-        addr: Some(addr.to_string()),
-    };
-    let reader = match connection {
-        Some(reader) => reader,
-        None => {
-            let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)
-                .map_err(|e| transport_err(format!("cannot connect to shard: {e}")))?;
-            let _ = stream.set_read_timeout(Some(config.io_timeout));
-            let _ = stream.set_write_timeout(Some(config.io_timeout));
-            let _ = stream.set_nodelay(true);
-            connection.insert(BufReader::new(stream))
-        }
-    };
-    reader
-        .get_mut()
-        .write_all(request)
-        .and_then(|_| reader.get_mut().flush())
-        .map_err(|e| transport_err(format!("write to shard failed: {e}")))?;
-    read_response(reader).map_err(|e| transport_err(format!("read from shard failed: {e}")))
-}
-
-/// Reads one `Content-Length`-framed HTTP/1.1 response.
-fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, Vec<u8>)> {
-    use std::io::{Error, ErrorKind};
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(Error::new(ErrorKind::UnexpectedEof, "connection closed"));
-    }
-    let status = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| Error::new(ErrorKind::InvalidData, "malformed status line"))?;
-    let mut content_length = 0usize;
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(Error::new(ErrorKind::UnexpectedEof, "EOF in headers"));
-        }
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| Error::new(ErrorKind::InvalidData, "bad content-length"))?;
-            }
-        }
-    }
-    if content_length > MAX_RESPONSE_BYTES {
-        return Err(Error::new(ErrorKind::InvalidData, "response too large"));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok((status, body))
 }
 
 #[cfg(test)]

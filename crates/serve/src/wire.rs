@@ -183,6 +183,24 @@ pub fn parse_id_list(raw: &str) -> Result<Vec<u32>, WireError> {
         .collect()
 }
 
+/// Encodes a word-id `POST /infer` request body, `{"words":[…],"seed":…}`
+/// — the inverse of [`decode_infer`] for word-id documents.
+pub fn encode_infer_request(words: &[u32], seed: u64) -> JsonValue {
+    JsonValue::object([
+        ("words", word_id_array(words)),
+        ("seed", JsonValue::from(seed)),
+    ])
+}
+
+fn word_id_array(words: &[u32]) -> JsonValue {
+    JsonValue::Array(
+        words
+            .iter()
+            .map(|&w| JsonValue::from(u64::from(w)))
+            .collect(),
+    )
+}
+
 /// Encodes an [`InferResponse`], echoing the seed that produced it so the
 /// client can replay the request bit-identically.
 pub fn encode_infer_response(response: &InferResponse, seed: u64) -> JsonValue {
@@ -668,12 +686,7 @@ fn decode_f64_array(value: &JsonValue, what: &str) -> Result<Vec<f64>, WireError
 /// Encodes a `POST /infer-partial` request body: the shard-local word ids
 /// plus either the derived ESCA chain seed or one EM round's index and θ.
 pub fn encode_partial_request(words: &[u32], request: &PartialRequest) -> JsonValue {
-    let words = JsonValue::Array(
-        words
-            .iter()
-            .map(|&w| JsonValue::from(u64::from(w)))
-            .collect(),
-    );
+    let words = word_id_array(words);
     match request {
         PartialRequest::FoldIn { seed } => JsonValue::object([
             ("words", words),
@@ -1242,6 +1255,12 @@ mod tests {
         let no_seed = decode_infer(r#"{"words":[]}"#).unwrap();
         assert_eq!(no_seed.seed, None);
         assert_eq!(no_seed.body, InferBody::Words(vec![]));
+        // The client-side encoder round-trips, seeds above 2^53 included.
+        let body = encode_infer_request(&[1, 2, 3], u64::MAX).to_string();
+        assert_eq!(body, format!(r#"{{"words":[1,2,3],"seed":{}}}"#, u64::MAX));
+        let wire = decode_infer(&body).unwrap();
+        assert_eq!(wire.body, InferBody::Words(vec![1, 2, 3]));
+        assert_eq!(wire.seed, Some(u64::MAX));
     }
 
     #[test]

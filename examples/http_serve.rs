@@ -17,27 +17,24 @@
 //!     cargo run --release --example http_serve
 //! ```
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 
 use saberlda::corpus::synthetic::SyntheticSpec;
+use saberlda::serve::client::HttpClient;
 use saberlda::serve::http::{HttpConfig, HttpServer};
-use saberlda::serve::{ServeConfig, SnapshotSampler, TopicServer};
+use saberlda::serve::{wire, HttpTransportConfig, ServeConfig, SnapshotSampler, TopicServer};
 use saberlda::{SaberLda, SaberLdaConfig};
 
-/// One blocking HTTP request over a fresh connection; returns the raw
-/// response (status line, headers, body).
-fn http(addr: std::net::SocketAddr, request: &str) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(request.as_bytes())?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    Ok(response)
-}
-
-fn body_of(response: &str) -> &str {
-    response.split("\r\n\r\n").nth(1).unwrap_or("")
+/// One request over the demo's keep-alive connection; returns the body.
+fn http(
+    client: &mut HttpClient,
+    method: &str,
+    target: &str,
+    headers: &[(&str, &str)],
+    body: &str,
+) -> Result<String, Box<dyn std::error::Error>> {
+    let (_, body) = client.send(method, target, headers, body.as_bytes())?;
+    Ok(String::from_utf8(body)?)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -102,70 +99,52 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. Demo workload over real TCP. Health first:
-    let health = http(
-        addr,
-        "GET /healthz HTTP/1.1\r\nHost: demo\r\nConnection: close\r\n\r\n",
-    )?;
-    println!("GET /healthz -> {}", body_of(&health));
+    let mut client = HttpClient::new(addr, &HttpTransportConfig::default());
+    let health = http(&mut client, "GET", "/healthz", &[], "")?;
+    println!("GET /healthz -> {health}");
 
     // Word-id inference with a seed in the body.
     let doc = corpus.document(0).words();
-    let payload = format!(
-        "{{\"words\":[{}],\"seed\":42}}",
-        doc.iter().map(u32::to_string).collect::<Vec<_>>().join(",")
-    );
-    let request = format!(
-        "POST /infer HTTP/1.1\r\nHost: demo\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-        payload.len()
-    );
-    let first = http(addr, &request)?;
-    println!("POST /infer (doc 0, seed 42) -> {}", body_of(&first));
+    let payload = wire::encode_infer_request(doc, 42).to_string();
+    let first = http(&mut client, "POST", "/infer", &[], &payload)?;
+    println!("POST /infer (doc 0, seed 42) -> {first}");
 
     // Deterministic replay: the same request again is bit-identical.
-    let replay = http(addr, &request)?;
-    assert_eq!(
-        body_of(&first),
-        body_of(&replay),
-        "equal seeds must replay bit-identically"
-    );
+    let replay = http(&mut client, "POST", "/infer", &[], &payload)?;
+    assert_eq!(first, replay, "equal seeds must replay bit-identically");
     println!("replay: second POST with seed 42 returned an identical body");
 
     // Raw tokens with the seed supplied via header instead of body.
     let payload = r#"{"tokens":["w00000","w00001","definitely-not-a-word"],"oov":"skip"}"#;
-    let request = format!(
-        "POST /infer HTTP/1.1\r\nHost: demo\r\nX-Saber-Seed: 7\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-        payload.len()
-    );
-    println!(
-        "POST /infer (raw tokens) -> {}",
-        body_of(&http(addr, &request)?)
-    );
+    let raw = http(
+        &mut client,
+        "POST",
+        "/infer",
+        &[("X-Saber-Seed", "7")],
+        payload,
+    )?;
+    println!("POST /infer (raw tokens) -> {raw}");
 
     // A little traffic so /stats has percentiles to report.
     for seed in 0..32u64 {
-        let payload = format!("{{\"words\":[0,8,16,24],\"seed\":{seed}}}");
-        let request = format!(
-            "POST /infer HTTP/1.1\r\nHost: demo\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-            payload.len()
-        );
-        http(addr, &request)?;
+        let payload = wire::encode_infer_request(&[0, 8, 16, 24], seed).to_string();
+        http(&mut client, "POST", "/infer", &[], &payload)?;
     }
-    let top = http(
-        addr,
-        "GET /top-words?topic=0&n=6 HTTP/1.1\r\nHost: demo\r\nConnection: close\r\n\r\n",
-    )?;
-    println!("GET /top-words?topic=0&n=6 -> {}", body_of(&top));
+    let top = http(&mut client, "GET", "/top-words?topic=0&n=6", &[], "")?;
+    println!("GET /top-words?topic=0&n=6 -> {top}");
     let similar = http(
-        addr,
-        "GET /similar?a=0,8,16&b=1,9,17&seed=5 HTTP/1.1\r\nHost: demo\r\nConnection: close\r\n\r\n",
+        &mut client,
+        "GET",
+        "/similar?a=0,8,16&b=1,9,17&seed=5",
+        &[],
+        "",
     )?;
-    println!("GET /similar -> {}", body_of(&similar));
-    let stats = http(
-        addr,
-        "GET /stats HTTP/1.1\r\nHost: demo\r\nConnection: close\r\n\r\n",
-    )?;
-    println!("GET /stats -> {}", body_of(&stats));
+    println!("GET /similar -> {similar}");
+    let stats = http(&mut client, "GET", "/stats", &[], "")?;
+    println!("GET /stats -> {stats}");
 
+    // Close the keep-alive connection so the listener drains at once.
+    drop(client);
     http_server.shutdown();
     Arc::try_unwrap(server)
         .expect("http server released its handle")

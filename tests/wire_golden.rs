@@ -849,6 +849,20 @@ fn infer_request_decoding_is_stable() {
 }
 
 #[test]
+fn infer_request_bytes_are_stable() {
+    // The client-side `/infer` body: what loadgen, the benches and the
+    // examples send.
+    assert_eq!(
+        wire::encode_infer_request(&[0, 3, 6], 7).to_string(),
+        r#"{"words":[0,3,6],"seed":7}"#,
+    );
+    assert_eq!(
+        wire::encode_infer_request(&[], u64::MAX).to_string(),
+        r#"{"words":[],"seed":18446744073709551615}"#,
+    );
+}
+
+#[test]
 fn histogram_bytes_are_stable() {
     let h = LatencyHistogram::new();
     h.record(Duration::from_micros(800));
