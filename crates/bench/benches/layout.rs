@@ -1,12 +1,16 @@
 //! Ablation bench: building the PDOW layout vs. the doc-major layout, and the
 //! DRAM traffic each induces in the sampling kernel (the G0→G1 step).
+//!
+//! For each layout, `resample_*` times the CPU sampling loop alone and
+//! `account_*` the simulated GPU traffic of the same pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use saber_core::accounting::account_sampling;
 use saber_core::config::{SaberLdaConfig, TokenOrder};
 use saber_core::count::rebuild_reference;
-use saber_core::kernel::sample_chunk;
+use saber_core::kernel::resample_chunk;
 use saber_core::layout::build_chunks;
 use saber_core::model::LdaModel;
 use saber_core::trees::WordSampler;
@@ -66,20 +70,25 @@ fn bench_kernel_traffic(c: &mut Criterion) {
             .map(|v| WordSampler::build(PreprocessKind::WaryTree, model.word_topic_prob().row(v)))
             .collect();
         let a = rebuild_reference(&chunks[0], k);
-        group.bench_function(label, |b| {
+        group.bench_function(format!("resample_{label}"), |b| {
             b.iter(|| {
                 let mut chunk = chunks[0].clone();
-                let mut tracker = MemoryTracker::new(1 << 21);
                 let mut rng = StdRng::seed_from_u64(4);
-                sample_chunk(
+                let bhat = model.word_topic_prob();
+                black_box(resample_chunk(
                     &mut chunk,
                     &a,
-                    &model,
+                    bhat,
                     &samplers,
-                    &config,
-                    &mut tracker,
+                    config.alpha,
                     &mut rng,
-                );
+                ))
+            })
+        });
+        group.bench_function(format!("account_{label}"), |b| {
+            b.iter(|| {
+                let mut tracker = MemoryTracker::new(1 << 21);
+                account_sampling(&chunks[0], &a, &samplers, config.kernel, k, &mut tracker);
                 black_box(tracker.stats().dram_bytes())
             })
         });

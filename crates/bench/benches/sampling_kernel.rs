@@ -1,12 +1,18 @@
 //! Ablation bench: the E-step sampling kernel — warp-based vs. thread-based
 //! mapping and scalar vs. warp-vectorised prefix search (§3.2).
+//!
+//! The `resample_*` rows time the CPU sampling loop alone, once per token
+//! order (the thread mapping does not change what is sampled); the
+//! `account_*` rows time the simulated GPU cost of each kernel, which is
+//! where the mappings differ.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use saber_core::accounting::account_sampling;
 use saber_core::config::{KernelKind, SaberLdaConfig, TokenOrder};
 use saber_core::count::rebuild_reference;
-use saber_core::kernel::{sample_chunk, warp_find_prefix_position};
+use saber_core::kernel::{resample_chunk, warp_find_prefix_position};
 use saber_core::layout::build_chunks;
 use saber_core::model::LdaModel;
 use saber_core::trees::WordSampler;
@@ -67,20 +73,29 @@ fn bench_kernel(c: &mut Criterion) {
             .map(|v| WordSampler::build(PreprocessKind::WaryTree, model.word_topic_prob().row(v)))
             .collect();
         let a = rebuild_reference(&chunks[0], k);
-        group.bench_function(label, |b| {
+        if kernel == KernelKind::WarpBased {
+            let order_label = label.trim_start_matches("warp_");
+            group.bench_function(format!("resample_{order_label}"), |b| {
+                b.iter(|| {
+                    let mut chunk = chunks[0].clone();
+                    let mut rng = StdRng::seed_from_u64(2);
+                    let bhat = model.word_topic_prob();
+                    black_box(resample_chunk(
+                        &mut chunk,
+                        &a,
+                        bhat,
+                        &samplers,
+                        config.alpha,
+                        &mut rng,
+                    ))
+                })
+            });
+        }
+        group.bench_function(format!("account_{label}"), |b| {
             b.iter(|| {
-                let mut chunk = chunks[0].clone();
                 let mut tracker = MemoryTracker::new(1 << 21);
-                let mut rng = StdRng::seed_from_u64(2);
-                black_box(sample_chunk(
-                    &mut chunk,
-                    &a,
-                    &model,
-                    &samplers,
-                    &config,
-                    &mut tracker,
-                    &mut rng,
-                ))
+                account_sampling(&chunks[0], &a, &samplers, kernel, k, &mut tracker);
+                black_box(tracker.stats().dram_bytes())
             })
         });
     }

@@ -10,67 +10,58 @@
 //! as the `G0`–`G2` baseline of the ablation.
 //!
 //! The dense word–topic matrix `B` is updated with atomic adds
-//! ([`accumulate_word_topic`]), which is cheap because the update volume is a
-//! single counter per token.
+//! ([`accumulate`]), which is cheap because the update volume is a single
+//! counter per token.
+//!
+//! [`rebuild`] and [`accumulate`] are the computation alone; their simulated
+//! GPU cost is charged by [`crate::accounting`], and [`rebuild_doc_topic`]
+//! and [`accumulate_word_topic`] run the two in turn.
 
-use saber_gpu_sim::memory::AddressMap;
 use saber_gpu_sim::MemoryTracker;
 use saber_sparse::segcount::count_segment;
 use saber_sparse::{CsrBuilder, CsrMatrix, DenseMatrix};
 
+use crate::accounting::{account_accumulate, account_rebuild};
 use crate::config::CountRebuild;
 use crate::layout::Chunk;
 
 /// Rebuilds the chunk's document–topic matrix from its current topic
-/// assignments using the selected algorithm, charging the corresponding
-/// memory traffic to `tracker`.
+/// assignments using the selected algorithm.
 ///
 /// Both algorithms produce the same matrix; the property tests in this module
 /// and the ablation benchmark rely on that.
+pub fn rebuild(chunk: &Chunk, n_topics: usize, method: CountRebuild) -> CsrMatrix<u32> {
+    match method {
+        CountRebuild::Ssc => rebuild_ssc(chunk, n_topics),
+        CountRebuild::NaiveSort => rebuild_naive(chunk, n_topics),
+    }
+}
+
+/// [`rebuild`], then its simulated cost charged to `tracker`
+/// ([`account_rebuild`]).
 pub fn rebuild_doc_topic(
     chunk: &Chunk,
     n_topics: usize,
     method: CountRebuild,
     tracker: &mut MemoryTracker,
 ) -> CsrMatrix<u32> {
-    match method {
-        CountRebuild::Ssc => rebuild_ssc(chunk, n_topics, tracker),
-        CountRebuild::NaiveSort => rebuild_naive(chunk, n_topics, tracker),
-    }
+    let a = rebuild(chunk, n_topics, method);
+    account_rebuild(chunk, &a, method, tracker);
+    a
 }
 
 /// Shuffle-and-segmented-count (Fig. 8).
-fn rebuild_ssc(chunk: &Chunk, n_topics: usize, tracker: &mut MemoryTracker) -> CsrMatrix<u32> {
-    let map = AddressMap::default();
-    let n = chunk.n_tokens();
-
+fn rebuild_ssc(chunk: &Chunk, n_topics: usize) -> CsrMatrix<u32> {
     // Step 1: shuffle — place each token's topic at its precomputed position.
-    // One streaming read of the topic array and one (scattered but
-    // line-amortised, because destinations within a document are contiguous)
-    // write per token.
-    let mut grouped = vec![0u32; n];
+    let mut grouped = vec![0u32; chunk.n_tokens()];
     for (i, &dest) in chunk.doc_shuffle.iter().enumerate() {
         grouped[dest] = chunk.topics[i];
     }
-    tracker.global_read(map.token_list, 4 * n as u64);
-    tracker.global_write(map.token_list + (4 * n) as u64, 4 * n as u64);
-
-    // Step 2+3: per-document segmented count in shared memory.
+    // Step 2+3: per-document segmented count.
     let offsets = chunk.doc_offsets();
     let mut builder = CsrBuilder::with_capacity(n_topics, chunk.n_docs, chunk.n_docs * 8);
     for d in 0..chunk.n_docs {
-        let seg = &grouped[offsets[d]..offsets[d + 1]];
-        // Radix sort + adjacent difference + scatter, all in shared memory:
-        // ~4 passes over the segment (Fig. 8), 4 bytes per token per pass.
-        tracker.shared_read(4 * 4 * seg.len() as u64);
-        tracker.shared_write(4 * 4 * seg.len() as u64);
-        tracker.instructions(6 * seg.len().div_ceil(32) as u64 * 4);
-        let counts = count_segment(seg);
-        // Write the document's sparse row back to global memory.
-        tracker.global_write(
-            map.doc_topic + (offsets[d] * 8) as u64,
-            8 * counts.len() as u64,
-        );
+        let counts = count_segment(&grouped[offsets[d]..offsets[d + 1]]);
         builder.push_row_unchecked(
             counts
                 .keys
@@ -83,20 +74,7 @@ fn rebuild_ssc(chunk: &Chunk, n_topics: usize, tracker: &mut MemoryTracker) -> C
 }
 
 /// Naive rebuild: globally sort all (document, topic) pairs, then scan.
-fn rebuild_naive(chunk: &Chunk, n_topics: usize, tracker: &mut MemoryTracker) -> CsrMatrix<u32> {
-    let map = AddressMap::default();
-    let n = chunk.n_tokens();
-
-    // The global radix sort makes 4 passes (8-bit digits over the 32-bit
-    // combined key), each reading and writing the full 8-byte (doc, topic)
-    // pair array in global memory — this is what makes it expensive.
-    let passes = 4u64;
-    for p in 0..passes {
-        tracker.global_read(map.token_list + p * 8 * n as u64, 8 * n as u64);
-        tracker.global_write(map.token_list + (p + 1) * 8 * n as u64, 8 * n as u64);
-    }
-    tracker.instructions(8 * n as u64);
-
+fn rebuild_naive(chunk: &Chunk, n_topics: usize) -> CsrMatrix<u32> {
     let mut pairs: Vec<(u32, u32)> = chunk
         .local_doc_ids
         .iter()
@@ -105,44 +83,46 @@ fn rebuild_naive(chunk: &Chunk, n_topics: usize, tracker: &mut MemoryTracker) ->
         .collect();
     pairs.sort_unstable();
 
-    // Linear scan producing the CSR rows.
-    tracker.global_read(map.token_list, 8 * n as u64);
+    // Linear scan producing the CSR rows: each document's pairs are one
+    // sorted run, each of its topics a run within it.
     let mut builder = CsrBuilder::with_capacity(n_topics, chunk.n_docs, chunk.n_docs * 8);
-    let mut idx = 0usize;
+    let mut rest = pairs.as_slice();
     for d in 0..chunk.n_docs as u32 {
-        let mut entries: Vec<(u32, u32)> = Vec::new();
-        while idx < pairs.len() && pairs[idx].0 == d {
-            let topic = pairs[idx].1;
-            let mut count = 0u32;
-            while idx < pairs.len() && pairs[idx].0 == d && pairs[idx].1 == topic {
-                count += 1;
-                idx += 1;
-            }
-            entries.push((topic, count));
-        }
-        tracker.global_write(map.doc_topic, 8 * entries.len() as u64);
-        builder.push_row_unchecked(entries);
+        let (doc, tail) = rest.split_at(rest.partition_point(|p| p.0 == d));
+        rest = tail;
+        builder.push_row_unchecked(
+            doc.chunk_by(|a, b| a == b)
+                .map(|r| (r[0].1, r.len() as u32)),
+        );
     }
     builder.build()
 }
 
 /// Adds every token of the chunk into the dense word–topic count matrix `B`
-/// with atomic adds (the per-word update of §3.3). `B` must be `V × K`.
+/// (the per-word update of §3.3). `B` must be `V × K`.
 ///
 /// # Panics
 ///
 /// Panics if a word or topic id exceeds the matrix dimensions.
+pub fn accumulate(chunk: &Chunk, word_topic: &mut DenseMatrix<u32>) {
+    for (word, _, topic) in chunk.iter_tokens() {
+        word_topic[(word as usize, topic as usize)] += 1;
+    }
+}
+
+/// [`accumulate`], then its atomic adds charged to `tracker`
+/// ([`account_accumulate`]).
+///
+/// # Panics
+///
+/// As [`accumulate`].
 pub fn accumulate_word_topic(
     chunk: &Chunk,
     word_topic: &mut DenseMatrix<u32>,
     tracker: &mut MemoryTracker,
 ) {
-    let map = AddressMap::default();
-    let k = word_topic.cols() as u64;
-    for (word, _, topic) in chunk.iter_tokens() {
-        word_topic[(word as usize, topic as usize)] += 1;
-        tracker.atomic_add(map.word_topic + (word as u64 * k + topic as u64) * 4, 4);
-    }
+    accumulate(chunk, word_topic);
+    account_accumulate(chunk, word_topic.cols(), tracker);
 }
 
 /// Reference rebuild used by tests: a dense histogram per document, converted

@@ -1,57 +1,38 @@
-//! The E-step sampling kernels (§3.2, Fig. 5).
+//! The E-step sampling kernel (§3.2, Fig. 5).
 //!
-//! Two thread mappings are modelled:
+//! [`resample_chunk`] re-samples every token of a chunk in storage order.
+//! That is also the paper's processing order for both token orders:
+//! [`crate::layout::build_chunks`] stores each segment — a word's tokens in
+//! word-major order, a document's in doc-major order — contiguously and in
+//! segment order, so the one loop serves every configuration.
 //!
-//! * **Warp-based** (the paper's design): all 32 lanes of a warp collaborate
-//!   on one token — lane-parallel element-wise product over the non-zeros of
-//!   `A_d`, a warp reduction for `S`, warp prefix-sum + ballot/ffs search for
-//!   the sparse branch, and a W-ary tree descent for the dense branch. There
-//!   is no waiting and no divergence, and the accesses to `A_d` are coalesced.
-//! * **Thread-based** (the straightforward port): one thread per token. With
-//!   sparse rows the lanes' loop lengths differ (waiting), the branch between
-//!   the two sub-problems diverges, and accesses are uncoalesced; the kernel
-//!   charges those penalties to the cost counters.
-//!
-//! Both mappings draw topics from exactly the same distribution — the
-//! difference the paper studies is architectural efficiency, not statistics —
-//! so the reproduction uses one statistical sampler
-//! ([`crate::sampling::sample_token`]) and differentiates the *execution
-//! accounting* (memory traffic, instructions, waiting, divergence).
-//!
-//! The token ordering of the chunk determines the memory-access pattern
-//! (Fig. 4): with word-major order the current `B̂_v` row is staged in shared
-//! memory and reused; with doc-major order every token gathers scattered
-//! elements of `B̂` from global memory.
+//! The paper's two thread mappings (warp-based and thread-based) and two
+//! token orders differ in efficiency, not in statistics (§3.2): all of them
+//! draw from [`crate::sampling::sample_token`]. What they cost on the GPU is
+//! simulated separately, by [`crate::accounting::account_sampling`];
+//! [`sample_chunk`] runs the two in turn.
 
 use rand::rngs::StdRng;
-use saber_gpu_sim::memory::AddressMap;
 use saber_gpu_sim::warp::{
-    warp_inclusive_prefix_sum, warp_iterations, warp_vote_first_active, PREFIX_SUM_INSTRUCTIONS,
-    REDUCE_INSTRUCTIONS, VOTE_INSTRUCTIONS, WARP_SIZE,
+    warp_inclusive_prefix_sum, warp_iterations, warp_vote_first_active, WARP_SIZE,
 };
 use saber_gpu_sim::MemoryTracker;
-use saber_sparse::CsrMatrix;
+use saber_sparse::{CsrMatrix, DenseMatrix};
 
-use crate::config::{KernelKind, SaberLdaConfig, TokenOrder};
+use crate::accounting::account_sampling;
+use crate::config::SaberLdaConfig;
 use crate::layout::Chunk;
 use crate::model::LdaModel;
 use crate::sampling::{sample_token, SampleScratch};
-use crate::trees::{TopicSampler, WordSampler};
+use crate::trees::WordSampler;
 
-/// Instructions charged per 32-lane element-wise-product iteration
-/// (load index, load value, multiply, accumulate).
-const PRODUCT_INSTRUCTIONS: u64 = 4;
-
-/// Instructions charged for the branch selection (RNG + compare).
-const BRANCH_INSTRUCTIONS: u64 = 2;
-
-/// Runs the E-step over one chunk: re-samples every token's topic in place.
+/// Runs the E-step over one chunk: re-samples every token's topic in place,
+/// in storage order.
 ///
 /// * `doc_topic` — the chunk's document–topic matrix from the previous M-step
 ///   (row `d` corresponds to local document `d`);
-/// * `model` — provides `B̂`;
-/// * `samplers` — one pre-processed structure per word id;
-/// * `tracker` — receives the execution accounting.
+/// * `bhat` — the word–topic probabilities `B̂`;
+/// * `samplers` — one pre-processed structure per word id.
 ///
 /// Returns the number of tokens processed.
 ///
@@ -59,6 +40,36 @@ const BRANCH_INSTRUCTIONS: u64 = 2;
 ///
 /// Panics if `doc_topic` has fewer rows than the chunk has documents, or if a
 /// word id has no sampler.
+pub fn resample_chunk(
+    chunk: &mut Chunk,
+    doc_topic: &CsrMatrix<u32>,
+    bhat: &DenseMatrix<f32>,
+    samplers: &[WordSampler],
+    alpha: f32,
+    rng: &mut StdRng,
+) -> u64 {
+    assert!(
+        doc_topic.rows() >= chunk.n_docs,
+        "document-topic matrix has {} rows but the chunk has {} documents",
+        doc_topic.rows(),
+        chunk.n_docs
+    );
+    let mut scratch = SampleScratch::new();
+    for t in 0..chunk.n_tokens() {
+        let word = chunk.word_ids[t] as usize;
+        let doc_row = doc_topic.row(chunk.local_doc_ids[t] as usize);
+        let sampler = &samplers[word];
+        chunk.topics[t] = sample_token(doc_row, bhat.row(word), alpha, sampler, &mut scratch, rng);
+    }
+    chunk.n_tokens() as u64
+}
+
+/// [`resample_chunk`] against `model`'s `B̂`, then the simulated cost of the
+/// configured kernel charged to `tracker` ([`account_sampling`]).
+///
+/// # Panics
+///
+/// As [`resample_chunk`].
 pub fn sample_chunk(
     chunk: &mut Chunk,
     doc_topic: &CsrMatrix<u32>,
@@ -68,211 +79,10 @@ pub fn sample_chunk(
     tracker: &mut MemoryTracker,
     rng: &mut StdRng,
 ) -> u64 {
-    assert!(
-        doc_topic.rows() >= chunk.n_docs,
-        "document-topic matrix has {} rows but the chunk has {} documents",
-        doc_topic.rows(),
-        chunk.n_docs
-    );
-    match (config.kernel, chunk.order) {
-        (KernelKind::WarpBased, TokenOrder::WordMajor) => sample_word_major(
-            chunk, doc_topic, model, samplers, config, tracker, rng, false,
-        ),
-        (KernelKind::ThreadBased, TokenOrder::WordMajor) => sample_word_major(
-            chunk, doc_topic, model, samplers, config, tracker, rng, true,
-        ),
-        (KernelKind::WarpBased, TokenOrder::DocMajor) => sample_doc_major(
-            chunk, doc_topic, model, samplers, config, tracker, rng, false,
-        ),
-        (KernelKind::ThreadBased, TokenOrder::DocMajor) => sample_doc_major(
-            chunk, doc_topic, model, samplers, config, tracker, rng, true,
-        ),
-    }
-}
-
-/// Word-major (PDOW) kernel: one block per word, `B̂_v` staged in shared
-/// memory.
-#[allow(clippy::too_many_arguments)]
-fn sample_word_major(
-    chunk: &mut Chunk,
-    doc_topic: &CsrMatrix<u32>,
-    model: &LdaModel,
-    samplers: &[WordSampler],
-    config: &SaberLdaConfig,
-    tracker: &mut MemoryTracker,
-    rng: &mut StdRng,
-    thread_based: bool,
-) -> u64 {
-    let map = AddressMap::default();
-    let k = model.n_topics();
-    let mut scratch = SampleScratch::new();
-    let mut processed = 0u64;
-
-    for seg_idx in 0..chunk.segments.len() {
-        let seg = chunk.segments[seg_idx];
-        let word = seg.key as usize;
-        let sampler = &samplers[word];
-        let bhat_row = model.word_topic_prob().row(word);
-
-        // Stage B̂_v (and, for the write-back path, B_v) in shared memory.
-        tracker.global_read(map.word_topic_prob + (word * k * 4) as u64, (k * 4) as u64);
-        tracker.shared_write((k * 4) as u64);
-
-        let mut pending_waits = 0u64;
-        let mut group_nnz: Vec<usize> = Vec::with_capacity(WARP_SIZE);
-
-        for t in seg.start..seg.end {
-            let d = chunk.local_doc_ids[t] as usize;
-            let doc_row = doc_topic.row(d);
-            let nnz = doc_row.nnz();
-
-            // Read the document's sparse row from global memory (coalesced:
-            // the row is contiguous and 128-byte aligned per §3.4).
-            tracker.global_read(
-                map.doc_topic + (doc_topic.row_ptr()[d] * 8) as u64,
-                (nnz * 8) as u64,
-            );
-            // The element-wise product reads B̂ from shared memory.
-            tracker.shared_read((nnz * 4) as u64);
-            let product_iters = nnz.div_ceil(WARP_SIZE).max(1) as u64;
-            tracker.instructions(
-                product_iters * PRODUCT_INSTRUCTIONS + REDUCE_INSTRUCTIONS + BRANCH_INSTRUCTIONS,
-            );
-            // Searching the prefix sums of P (sparse branch) or descending the
-            // tree (dense branch): charge the sparse-branch cost when the row
-            // is non-empty — it is executed with probability S/(S+Q) and the
-            // tree query otherwise; we charge the average of the two weighted
-            // by nnz presence, keeping the model deterministic.
-            if nnz > 0 {
-                tracker.instructions(product_iters * (PREFIX_SUM_INSTRUCTIONS + VOTE_INSTRUCTIONS));
-            }
-            tracker.shared_read(sampler.query_shared_bytes());
-            tracker.instructions(sampler.query_instructions());
-
-            if thread_based {
-                group_nnz.push(nnz);
-                if group_nnz.len() == WARP_SIZE {
-                    pending_waits += waiting_penalty(&group_nnz);
-                    tracker.divergence(1);
-                    group_nnz.clear();
-                }
-            }
-
-            // Draw the new topic (statistically identical across mappings).
-            let new_topic =
-                sample_token(doc_row, bhat_row, config.alpha, sampler, &mut scratch, rng);
-            chunk.topics[t] = new_topic;
-            processed += 1;
-        }
-        if !group_nnz.is_empty() {
-            pending_waits += waiting_penalty(&group_nnz);
-        }
-        if thread_based {
-            tracker.wait(pending_waits);
-        }
-
-        // Write the segment's updated topics back (contiguous, coalesced).
-        tracker.global_write(
-            map.token_list + (seg.start * 4) as u64,
-            (seg.len() * 4) as u64,
-        );
-    }
-    processed
-}
-
-/// Doc-major kernel: one block per document, `A_d` staged in shared memory and
-/// `B̂` gathered element-by-element from global memory (Fig. 4b) — the layout
-/// of previous GPU systems and of the G0 ablation level.
-#[allow(clippy::too_many_arguments)]
-fn sample_doc_major(
-    chunk: &mut Chunk,
-    doc_topic: &CsrMatrix<u32>,
-    model: &LdaModel,
-    samplers: &[WordSampler],
-    config: &SaberLdaConfig,
-    tracker: &mut MemoryTracker,
-    rng: &mut StdRng,
-    thread_based: bool,
-) -> u64 {
-    let map = AddressMap::default();
-    let k = model.n_topics();
-    let mut scratch = SampleScratch::new();
-    let mut processed = 0u64;
-
-    for seg_idx in 0..chunk.segments.len() {
-        let seg = chunk.segments[seg_idx];
-        let d = seg.key as usize;
-        let doc_row = doc_topic.row(d);
-        let nnz = doc_row.nnz();
-
-        // Stage A_d in shared memory once per document.
-        tracker.global_read(
-            map.doc_topic + (doc_topic.row_ptr()[d] * 8) as u64,
-            (nnz * 8) as u64,
-        );
-        tracker.shared_write((nnz * 8) as u64);
-
-        let mut group_nnz: Vec<usize> = Vec::with_capacity(WARP_SIZE);
-        let mut pending_waits = 0u64;
-
-        for t in seg.start..seg.end {
-            let word = chunk.word_ids[t] as usize;
-            let sampler = &samplers[word];
-            let bhat_row = model.word_topic_prob().row(word);
-
-            // Gather B̂[word][k] for every non-zero topic of the document:
-            // random single-element accesses, each pulling a 128-byte line.
-            let row_base = map.word_topic_prob + (word * k * 4) as u64;
-            for &topic in doc_row.indices() {
-                tracker.global_read(row_base + (topic as u64) * 4, 4);
-            }
-            tracker.shared_read((nnz * 8) as u64);
-            let product_iters = nnz.div_ceil(WARP_SIZE).max(1) as u64;
-            tracker.instructions(
-                product_iters * PRODUCT_INSTRUCTIONS + REDUCE_INSTRUCTIONS + BRANCH_INSTRUCTIONS,
-            );
-            if nnz > 0 {
-                tracker.instructions(product_iters * (PREFIX_SUM_INSTRUCTIONS + VOTE_INSTRUCTIONS));
-            }
-            // The pre-processed structure lives in global memory here (there is
-            // no per-word staging in doc-major order).
-            tracker.global_read(map.trees + (word * 64) as u64, sampler.query_shared_bytes());
-            tracker.instructions(sampler.query_instructions());
-
-            if thread_based {
-                group_nnz.push(nnz);
-                if group_nnz.len() == WARP_SIZE {
-                    pending_waits += waiting_penalty(&group_nnz);
-                    tracker.divergence(1);
-                    group_nnz.clear();
-                }
-            }
-
-            let new_topic =
-                sample_token(doc_row, bhat_row, config.alpha, sampler, &mut scratch, rng);
-            chunk.topics[t] = new_topic;
-            processed += 1;
-        }
-        if !group_nnz.is_empty() {
-            pending_waits += waiting_penalty(&group_nnz);
-        }
-        if thread_based {
-            tracker.wait(pending_waits);
-        }
-
-        tracker.global_write(
-            map.token_list + (seg.start * 4) as u64,
-            (seg.len() * 4) as u64,
-        );
-    }
-    processed
-}
-
-/// Extra warp-iterations wasted when 32 threads process rows of differing
-/// lengths: every lane waits for the longest row in its group (§3.2).
-fn waiting_penalty(group_nnz: &[usize]) -> u64 {
-    let max = group_nnz.iter().copied().max().unwrap_or(0);
-    group_nnz.iter().map(|&n| (max - n) as u64).sum()
+    let (bhat, k) = (model.word_topic_prob(), model.n_topics());
+    let tokens = resample_chunk(chunk, doc_topic, bhat, samplers, config.alpha, rng);
+    account_sampling(chunk, doc_topic, samplers, config.kernel, k, tracker);
+    tokens
 }
 
 /// Warp-vectorised search for the position of `x` in the prefix sums of
@@ -299,6 +109,10 @@ pub fn warp_find_prefix_position(probs: &[f32], x: f32) -> usize {
     }
     probs.len() - 1
 }
+
+// The tests build chunks of every token order and kernel kind.
+#[cfg(test)]
+use crate::config::{KernelKind, TokenOrder};
 
 #[cfg(test)]
 mod tests {

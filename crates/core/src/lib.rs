@@ -8,8 +8,9 @@
 //!   ([`sampling`]);
 //! * the **PDOW** data layout — partition the token list by document into
 //!   streamable chunks, order each chunk by word ([`layout`]);
-//! * the **warp-based sampling kernel** of Fig. 5, executed against the GPU
-//!   model in `saber-gpu-sim` ([`kernel`]);
+//! * the **sampling kernel** of Fig. 5 ([`kernel`]), whose warp-based and
+//!   thread-based GPU cost is simulated against the device model in
+//!   `saber-gpu-sim` by a separate accounting pass ([`accounting`]);
 //! * the **W-ary sampling tree** of Fig. 6/7, plus the alias-table and
 //!   Fenwick-tree alternatives it is compared against ([`trees`]);
 //! * the **shuffle-and-segmented-count** rebuild of the sparse document–topic
@@ -45,6 +46,7 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
+pub mod accounting;
 pub mod config;
 pub mod count;
 pub mod eval;

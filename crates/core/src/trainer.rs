@@ -2,21 +2,19 @@
 //!
 //! One training iteration:
 //!
-//! 1. **E-step** — every chunk streams to the (simulated) device and its
-//!    tokens are re-sampled by the configured kernel ([`crate::kernel`]);
-//! 2. **M-step** — each chunk's document–topic matrix is rebuilt
-//!    ([`crate::count`]), the word–topic counts are accumulated with atomic
-//!    adds, `B̂` is recomputed (Eq. 2) and the per-word sampling structures are
-//!    rebuilt ([`crate::trees`]);
-//! 3. **Accounting** — the kernels' memory/instruction counters are converted
-//!    to estimated device time by the roofline cost model, block-level load
-//!    balance is simulated for the configured `threads_per_block`, and the
-//!    streaming pipeline model decides how much transfer time is hidden by
-//!    multi-worker overlap.
+//! 1. **E-step** — every chunk's tokens are re-sampled
+//!    ([`crate::kernel::resample_chunk`]);
+//! 2. **M-step** — each chunk's document–topic matrix is rebuilt and the
+//!    word–topic counts are accumulated ([`crate::count`]), `B̂` is
+//!    recomputed (Eq. 2) and the per-word sampling structures are rebuilt
+//!    ([`crate::trees`]);
+//! 3. **Accounting** — the simulated GPU cost of both steps, as per-phase
+//!    device times ([`crate::accounting`]).
 //!
 //! The resulting per-phase times are what the Fig. 9/10 harnesses report;
 //! convergence experiments additionally evaluate held-out likelihood between
-//! iterations.
+//! iterations. The incremental path ([`SaberLda::ingest`],
+//! [`SaberLda::iterate_incremental`]) runs the computation only.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -24,22 +22,18 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saber_corpus::Corpus;
-use saber_gpu_sim::cost::CostModel;
-use saber_gpu_sim::scheduler::dynamic_schedule;
-use saber_gpu_sim::shared::sampling_kernel_working_set;
-use saber_gpu_sim::stream::{simulate_pipeline, ChunkCost};
-use saber_gpu_sim::{KernelStats, MemoryTracker};
 use saber_sparse::CsrMatrix;
 
+use crate::accounting::{iteration_times, sampling_stats};
 use crate::config::SaberLdaConfig;
-use crate::count::{accumulate_word_topic, rebuild_doc_topic};
+use crate::count;
 use crate::eval::HeldOutEvaluator;
-use crate::kernel::sample_chunk;
+use crate::kernel::resample_chunk;
 use crate::layout::{build_chunks, Chunk};
 use crate::model::LdaModel;
-use crate::report::{IterationStats, PhaseTimes, TrainingReport};
+use crate::report::{IterationStats, TrainingReport};
 use crate::traits::{IterationOutcome, LdaTrainer};
-use crate::trees::{TopicSampler, WordSampler};
+use crate::trees::WordSampler;
 use crate::{Result, SaberError};
 
 /// The SaberLDA trainer.
@@ -52,7 +46,6 @@ pub struct SaberLda {
     doc_topics: Vec<CsrMatrix<u32>>,
     model: LdaModel,
     samplers: Vec<WordSampler>,
-    cost: CostModel,
     rng: StdRng,
     iteration: usize,
     /// Word ids whose `B̂` rows (and samplers) changed since the last
@@ -101,7 +94,6 @@ impl SaberLda {
             config.beta,
         )?;
         let mut trainer = SaberLda {
-            cost: CostModel::new(config.device.clone()),
             config,
             chunks,
             doc_topics: Vec::new(),
@@ -115,8 +107,7 @@ impl SaberLda {
             full_rebuilds: 0,
         };
         // Initial M-step (not timed as an iteration).
-        let mut tracker = MemoryTracker::new(trainer.config.device.l2_cache_bytes);
-        trainer.m_step(&mut tracker);
+        trainer.m_step();
         Ok(trainer)
     }
 
@@ -145,89 +136,25 @@ impl SaberLda {
         // saber-lint: allow(determinism) wall-clock time is reported in
         // IterationStats for operators, never fed back into sampling.
         let wall_start = Instant::now();
-        let device_l2 = self.config.device.l2_cache_bytes;
-
-        // ---- E-step: sample every chunk. ----
-        let mut sampling_stats_per_chunk: Vec<KernelStats> = Vec::with_capacity(self.chunks.len());
-        let mut tokens = 0u64;
-        for (ci, chunk) in self.chunks.iter_mut().enumerate() {
-            let mut tracker = MemoryTracker::new(device_l2);
-            tokens += sample_chunk(
-                chunk,
-                &self.doc_topics[ci],
-                &self.model,
-                &self.samplers,
-                &self.config,
-                &mut tracker,
-                &mut self.rng,
-            );
-            sampling_stats_per_chunk.push(tracker.take_stats());
-        }
-
-        // ---- M-step: rebuild A per chunk, accumulate B, refresh B̂ + trees. ----
-        let mut update_stats = KernelStats::default();
-        {
-            let mut tracker = MemoryTracker::new(device_l2);
-            self.m_step(&mut tracker);
-            update_stats.merge(tracker.stats());
-        }
-
-        // ---- Convert counters to estimated device time. ----
-        let balance = self.block_balance_factor();
-        let sampling_dram: u64 = sampling_stats_per_chunk
-            .iter()
-            .map(|s| s.dram_bytes())
-            .sum();
-        let per_chunk_sampling: Vec<f64> = sampling_stats_per_chunk
-            .iter()
-            .map(|s| self.cost.kernel_time(s).total_seconds * balance)
-            .collect();
-        let sampling_time: f64 = per_chunk_sampling.iter().sum();
-
-        let a_update_time = self
-            .cost
-            .kernel_time(&self.a_update_stats(&update_stats))
-            .total_seconds;
-        let preprocessing_time = self
-            .cost
-            .kernel_time(&self.preprocessing_stats())
-            .total_seconds;
-
-        // ---- Streaming pipeline: how much transfer is exposed? ----
-        let workers = if self.config.async_streams {
-            self.config.n_workers
-        } else {
-            1
-        };
-        let chunk_costs: Vec<ChunkCost> = self
-            .chunks
-            .iter()
-            .zip(per_chunk_sampling.iter())
-            .map(|(c, &compute)| {
-                let a_bytes = 8 * c.n_tokens() as u64 / 4; // CSR rows ≈ K_d per doc
-                ChunkCost {
-                    h2d_seconds: self.cost.transfer_time(c.token_bytes() + a_bytes),
-                    compute_seconds: compute + a_update_time / self.chunks.len() as f64,
-                    d2h_seconds: self.cost.transfer_time(c.token_bytes() / 2 + a_bytes),
-                }
-            })
-            .collect();
-        let pipeline = simulate_pipeline(&chunk_costs, workers.max(1));
-        let exposed_transfer = (pipeline.elapsed_seconds - pipeline.compute_seconds).max(0.0);
-
-        let phases = PhaseTimes {
-            sampling: sampling_time,
-            a_update: a_update_time,
-            preprocessing: preprocessing_time,
-            transfer: exposed_transfer,
-        };
+        let tokens = (0..self.chunks.len()).map(|ci| self.resample(ci)).sum();
+        // The E-step is charged against the `A` and samplers it sampled
+        // with, before the M-step replaces them.
+        let sampling = sampling_stats(&self.config, &self.chunks, &self.doc_topics, &self.samplers);
+        self.m_step();
+        let (phases, sampling_dram_bytes) = iteration_times(
+            &self.config,
+            &self.chunks,
+            &self.doc_topics,
+            &self.samplers,
+            &sampling,
+        );
 
         let stats = IterationStats {
             iteration: self.iteration,
             phases,
             tokens,
             wall_seconds: wall_start.elapsed().as_secs_f64(),
-            sampling_dram_bytes: sampling_dram,
+            sampling_dram_bytes,
             log_likelihood: None,
         };
         self.iteration += 1;
@@ -236,11 +163,10 @@ impl SaberLda {
 
     /// Trains for the configured number of iterations.
     pub fn train(&mut self) -> TrainingReport {
-        let mut report = TrainingReport::new();
-        for _ in 0..self.config.n_iterations {
-            report.iterations.push(self.iterate());
-        }
-        report
+        let iterations = (0..self.config.n_iterations)
+            .map(|_| self.iterate())
+            .collect();
+        TrainingReport { iterations }
     }
 
     /// Trains for the configured number of iterations, evaluating held-out
@@ -265,31 +191,12 @@ impl SaberLda {
 
     /// The M-step: rebuild per-chunk `A`, rebuild `B`, refresh `B̂`, rebuild
     /// the per-word sampling structures.
-    fn m_step(&mut self, tracker: &mut MemoryTracker) {
-        self.doc_topics.clear();
+    fn m_step(&mut self) {
         self.model.word_topic_mut().clear();
-        for chunk in &self.chunks {
-            let a = rebuild_doc_topic(
-                chunk,
-                self.config.n_topics,
-                self.config.count_rebuild,
-                tracker,
-            );
-            accumulate_word_topic(chunk, self.model.word_topic_mut(), tracker);
-            self.doc_topics.push(a);
-        }
-        self.model.refresh_probabilities();
-        self.samplers = (0..self.model.vocab_size())
-            .map(|v| {
-                WordSampler::build(self.config.preprocess, self.model.word_topic_prob().row(v))
-            })
-            .collect();
-        // A full refresh rewrites every B̂ row (the per-topic denominators
-        // change), so every row is dirty for the next snapshot export, and
-        // every chunk is freshly sampled against consistent counts.
-        self.touched.extend(0..self.model.vocab_size() as u32);
+        self.doc_topics = (0..self.chunks.len()).map(|ci| self.recount(ci)).collect();
+        self.full_refresh();
+        // Every chunk is now freshly sampled against consistent counts.
         self.dirty_chunks.clear();
-        self.full_rebuilds += 1;
     }
 
     /// Ingests `docs` (word-id documents) as one new streamed chunk:
@@ -327,17 +234,12 @@ impl SaberLda {
         let mut chunk = chunks.remove(0);
         chunk.randomize_topics(self.config.n_topics, &mut self.rng);
         let tokens = chunk.n_tokens() as u64;
-        let mut tracker = MemoryTracker::new(self.config.device.l2_cache_bytes);
-        accumulate_word_topic(&chunk, self.model.word_topic_mut(), &mut tracker);
-        self.doc_topics.push(rebuild_doc_topic(
-            &chunk,
-            self.config.n_topics,
-            self.config.count_rebuild,
-            &mut tracker,
-        ));
         let changed: BTreeSet<u32> = chunk.word_ids.iter().copied().collect();
         self.chunks.push(chunk);
-        self.dirty_chunks.insert(self.chunks.len() - 1);
+        let ci = self.chunks.len() - 1;
+        let a = self.recount(ci);
+        self.doc_topics.push(a);
+        self.dirty_chunks.insert(ci);
         self.refresh_rows(&changed);
         Ok(tokens)
     }
@@ -351,38 +253,38 @@ impl SaberLda {
     /// (0 when nothing is dirty). The chunks stay dirty — call again for
     /// further passes, or [`SaberLda::iterate`] for a full sweep.
     pub fn iterate_incremental(&mut self) -> u64 {
-        let device_l2 = self.config.device.l2_cache_bytes;
         let mut tokens = 0u64;
         let mut changed: BTreeSet<u32> = BTreeSet::new();
         let dirty: Vec<usize> = self.dirty_chunks.iter().copied().collect();
         for ci in dirty {
-            {
-                let chunk = &self.chunks[ci];
-                for (word, _, topic) in chunk.iter_tokens() {
-                    self.model.word_topic_mut()[(word as usize, topic as usize)] -= 1;
-                }
+            for (word, _, topic) in self.chunks[ci].iter_tokens() {
+                self.model.word_topic_mut()[(word as usize, topic as usize)] -= 1;
             }
-            let mut tracker = MemoryTracker::new(device_l2);
-            tokens += sample_chunk(
-                &mut self.chunks[ci],
-                &self.doc_topics[ci],
-                &self.model,
-                &self.samplers,
-                &self.config,
-                &mut tracker,
-                &mut self.rng,
-            );
-            accumulate_word_topic(&self.chunks[ci], self.model.word_topic_mut(), &mut tracker);
-            self.doc_topics[ci] = rebuild_doc_topic(
-                &self.chunks[ci],
-                self.config.n_topics,
-                self.config.count_rebuild,
-                &mut tracker,
-            );
+            tokens += self.resample(ci);
+            self.doc_topics[ci] = self.recount(ci);
             changed.extend(self.chunks[ci].word_ids.iter().copied());
         }
         self.refresh_rows(&changed);
         tokens
+    }
+
+    /// Re-samples chunk `ci` against the current `A`, `B̂` and samplers.
+    fn resample(&mut self, ci: usize) -> u64 {
+        let (bhat, alpha) = (self.model.word_topic_prob(), self.config.alpha);
+        let (chunk, a) = (&mut self.chunks[ci], &self.doc_topics[ci]);
+        resample_chunk(chunk, a, bhat, &self.samplers, alpha, &mut self.rng)
+    }
+
+    /// Adds chunk `ci`'s tokens to `B` and returns its rebuilt `A`.
+    fn recount(&mut self, ci: usize) -> CsrMatrix<u32> {
+        let chunk = &self.chunks[ci];
+        count::accumulate(chunk, self.model.word_topic_mut());
+        count::rebuild(chunk, self.config.n_topics, self.config.count_rebuild)
+    }
+
+    /// Word `v`'s sampling structure over its current `B̂` row.
+    fn build_sampler(&self, v: usize) -> WordSampler {
+        WordSampler::build(self.config.preprocess, self.model.word_topic_prob().row(v))
     }
 
     /// Recomputes `B̂` rows and samplers for exactly `rows`, with cached
@@ -391,10 +293,7 @@ impl SaberLda {
         let sorted: Vec<u32> = rows.iter().copied().collect();
         self.model.refresh_probability_rows(&sorted);
         for &v in &sorted {
-            self.samplers[v as usize] = WordSampler::build(
-                self.config.preprocess,
-                self.model.word_topic_prob().row(v as usize),
-            );
+            self.samplers[v as usize] = self.build_sampler(v as usize);
         }
         self.rows_rebuilt += sorted.len() as u64;
         self.touched.extend(sorted);
@@ -406,10 +305,10 @@ impl SaberLda {
     pub fn full_refresh(&mut self) {
         self.model.refresh_probabilities();
         self.samplers = (0..self.model.vocab_size())
-            .map(|v| {
-                WordSampler::build(self.config.preprocess, self.model.word_topic_prob().row(v))
-            })
+            .map(|v| self.build_sampler(v))
             .collect();
+        // Every B̂ row is rewritten (the per-topic denominators change), so
+        // every row is dirty for the next snapshot export.
         self.touched.extend(0..self.model.vocab_size() as u32);
         self.full_rebuilds += 1;
     }
@@ -441,77 +340,6 @@ impl SaberLda {
     /// included).
     pub fn full_rebuilds(&self) -> u64 {
         self.full_rebuilds
-    }
-
-    /// Counters attributed to the A-update phase (everything the M-step
-    /// tracker recorded).
-    fn a_update_stats(&self, update: &KernelStats) -> KernelStats {
-        *update
-    }
-
-    /// Counters attributed to pre-processing: recomputing `B̂` (one read of `B`
-    /// and one write of `B̂`) plus building the per-word sampling structures.
-    fn preprocessing_stats(&self) -> KernelStats {
-        let v = self.model.vocab_size() as u64;
-        let k = self.model.n_topics() as u64;
-        let build_instructions: u64 = self.samplers.iter().map(|s| s.build_instructions()).sum();
-        KernelStats {
-            global_read_bytes: v * k * 4,
-            global_write_bytes: v * k * 4,
-            warp_instructions: v * k / 8 + build_instructions,
-            ..KernelStats::default()
-        }
-    }
-
-    /// Block-level efficiency factor for the configured `threads_per_block`
-    /// (Fig. 10c): dynamic scheduling of words onto concurrently-resident
-    /// blocks, in-block synchronisation overhead, and an occupancy term for
-    /// latency hiding. Returns a multiplier ≥ 1 applied to the roofline time.
-    fn block_balance_factor(&self) -> f64 {
-        let t = self.config.threads_per_block as u64;
-        let warps_per_block = (t / 32).max(1);
-        let device = &self.config.device;
-
-        // Occupancy: how many blocks fit per SM, limited by threads and by the
-        // kernel's shared-memory working set.
-        let max_threads_per_sm = 2048u64;
-        let shared_per_sm = 2 * device.shared_mem_per_block as u64;
-        let working_set = sampling_kernel_working_set(self.config.n_topics).max(1);
-        let blocks_by_threads = (max_threads_per_sm / t).max(1);
-        let blocks_by_shared = (shared_per_sm / working_set).max(1);
-        let blocks_per_sm = blocks_by_threads.min(blocks_by_shared).min(16);
-        let concurrent_blocks = (device.sm_count as u64 * blocks_per_sm).max(1) as usize;
-
-        // Latency hiding: resident warps per SM relative to a full complement.
-        let resident_warps = blocks_per_sm * warps_per_block;
-        let occupancy = (resident_warps as f64 / 48.0).min(1.0);
-        let latency_factor = 1.0 + 0.35 * (1.0 - occupancy);
-
-        // Load balance: schedule the words of the largest chunk onto the
-        // concurrent blocks; per-word work is its warp-iterations plus an
-        // in-block synchronisation term that grows with the warp count. The
-        // efficiency is floored at 0.4 because warp-level dynamic token
-        // fetching inside a block (§3.4) smooths most of the tail that a pure
-        // one-word-per-block makespan would show; without the floor, scaled
-        // test corpora (whose distinct-word count is comparable to the number
-        // of concurrent blocks) exaggerate an imbalance that the paper's
-        // corpora, with V ≈ 100k ≫ resident blocks, do not exhibit.
-        let sync = (warps_per_block as f64).log2().ceil() as u64 + 1;
-        let balance_eff = self
-            .chunks
-            .iter()
-            .map(|chunk| {
-                let work: Vec<u64> = chunk
-                    .segments
-                    .iter()
-                    .map(|s| (s.len() as u64).div_ceil(warps_per_block) + sync)
-                    .collect();
-                dynamic_schedule(&work, concurrent_blocks).efficiency()
-            })
-            .fold(1.0f64, f64::min)
-            .max(0.4);
-
-        latency_factor / balance_eff
     }
 }
 

@@ -290,6 +290,8 @@ fn no_panic_serving(file: &LexedFile, out: &mut Vec<Diagnostic>) {
 /// The float-accumulating core files whose output must replay bit-identically.
 fn determinism_scope(path: &str) -> bool {
     [
+        "crates/core/src/accounting.rs",
+        "crates/core/src/count.rs",
         "crates/core/src/infer.rs",
         "crates/core/src/kernel.rs",
         "crates/core/src/sampling.rs",
@@ -1061,6 +1063,16 @@ mod tests {
             // saber-lint: allow(determinism) wall clock is reported, never fed back\n    \
             let t = Instant::now();\n}\n";
         assert!(lint_one("crates/core/src/trainer.rs", suppressed).is_empty());
+    }
+
+    #[test]
+    fn determinism_rule_covers_the_accounting_module() {
+        // The simulated figures are pinned bit for bit, so the cost
+        // accounting is held to the same rule as the sampler.
+        let src = "use std::collections::HashSet;\nfn f() {\n    let t = Instant::now();\n}\n";
+        let diags = lint_one("crates/core/src/accounting.rs", src);
+        assert_eq!(rule_ids(&diags), [DETERMINISM, DETERMINISM]);
+        assert_eq!(diags[1].line, 3);
     }
 
     // -- wire-golden-coverage -----------------------------------------------
